@@ -1,32 +1,26 @@
 // PPO-update throughput: samples processed per second across the update
-// configuration matrix — {tape, fused} backward paths x {serial, per-sample
-// shards, batched shards} for num_update_shards in {2, 4, 8} — on the
-// paper's 6x6 grid.
+// configuration matrix — {tape, fused} backward paths x {serial, batched
+// shards for num_update_shards in {2, 4, 8}} — on the paper's 6x6 grid.
 //
-// Measures trainer.update() only (the sharded phase; rollout collection is
-// covered by bench_rollout_throughput). Every configuration starts from
-// identical initial weights and consumes the same seeded batch (collected
-// once up front — the collection path does not depend on the update
-// configuration), so rounds differ only in update layout and backward path.
-// Per-sample shards perform literally the same weight trajectory as serial
-// (bit-identical gradients, core/update_engine.hpp); batched shards track it
-// within FP noise (tests/test_update_modes.cpp); the fused path is
-// bit-identical to the tape in every layout (tests/test_backward_path.cpp).
+// Measures trainer.update() only (rollout collection is covered by
+// bench_rollout_throughput). Every configuration starts from identical
+// initial weights and consumes the same seeded batch (collected once up
+// front — the collection path does not depend on the update
+// configuration), so rounds differ only in shard count and backward path.
+// Batched shards track the serial weight trajectory within FP noise
+// (tests/test_update_modes.cpp); the fused path is bit-identical to the
+// tape at every shard count (tests/test_backward_path.cpp).
 //
-// Three distinct speedup sources, worth separating when reading results:
-//   * threads - per-sample vs serial only wins via parallelism, so a 1-core
-//     box shows <= 1x there (hardware_threads is printed alongside, and
-//     rows that request more shards than the box has threads are flagged
-//     thread_limited);
-//   * batching - batched shards replace `minibatch` single-row tapes with
-//     one multi-row tape per shard, so every Linear/LSTM matmul runs at
-//     rows = shard size instead of rows = 1;
+// Two distinct speedup sources, worth separating when reading results:
+//   * threads - batched shards only win via parallelism, so rows that
+//     request more shards than the box has hardware threads are flagged
+//     thread_limited (hardware_threads is printed alongside);
 //   * the fused path - drops tape-graph construction entirely (no per-node
 //     allocation/bookkeeping, analytic backward kernels into preallocated
 //     workspace slots; nn/backward.hpp). Wins on any core count; expect
-//     >= 2x over the tape at the same layout.
+//     >= 2x over the tape at the same shard count.
 // The minibatch is raised to 256 here (vs the training default) so shard
-// slices stay wide enough for the batching effect to dominate.
+// slices stay wide.
 //
 // Results land on stdout and in BENCH_ppo_update.json for machine
 // consumption. The speedup column is relative to the first row (tape,
@@ -56,10 +50,8 @@ using namespace tsc;
 
 struct Row {
   core::UpdatePath path = core::UpdatePath::kTape;
-  core::UpdateMode mode = core::UpdateMode::kSerial;
-  std::size_t num_update_shards = 0;  ///< requested
-  std::size_t effective_shards = 0;   ///< after the per-sample hw clamp
-  bool thread_limited = false;        ///< requested shards > hardware threads
+  std::size_t num_update_shards = 0;
+  bool thread_limited = false;  ///< shards > hardware threads
   std::size_t batch_samples = 0;
   double wall_seconds = 0.0;
   double samples_per_sec = 0.0;
@@ -68,9 +60,10 @@ struct Row {
 };
 
 std::string row_name(const Row& r) {
-  return std::string(bench::update_path_name(r.path)) + " " +
-         bench::update_mode_name(r.mode) + " x" +
-         std::to_string(r.num_update_shards);
+  return std::string(bench::update_path_name(r.path)) +
+         (r.num_update_shards == 1 ? " serial x1"
+                                   : " batched x" +
+                                         std::to_string(r.num_update_shards));
 }
 
 void write_json(const std::string& path, const bench::HarnessConfig& config,
@@ -94,14 +87,15 @@ void write_json(const std::string& path, const bench::HarnessConfig& config,
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(f,
-                 "    {\"update_path\": \"%s\", \"update_mode\": \"%s\", "
-                 "\"num_update_shards\": %zu, \"effective_shards\": %zu, "
+                 "    {\"update_path\": \"%s\", \"layout\": \"%s\", "
+                 "\"num_update_shards\": %zu, "
                  "\"thread_limited\": %s, \"batch_samples\": %zu, "
                  "\"wall_seconds\": %.6f, \"samples_per_sec\": %.2f, "
                  "\"wall_seconds_per_update\": %.6f, "
                  "\"speedup_vs_serial\": %.3f}%s\n",
-                 bench::update_path_name(r.path), bench::update_mode_name(r.mode),
-                 r.num_update_shards, r.effective_shards,
+                 bench::update_path_name(r.path),
+                 r.num_update_shards == 1 ? "serial" : "batched",
+                 r.num_update_shards,
                  r.thread_limited ? "true" : "false", r.batch_samples,
                  r.wall_seconds, r.samples_per_sec, r.wall_per_update, r.speedup,
                  i + 1 < rows.size() ? "," : "");
@@ -117,13 +111,9 @@ void write_json(const std::string& path, const bench::HarnessConfig& config,
 int run_smoke() {
   struct Case {
     const char* name;
-    core::UpdateMode mode;
     std::size_t num_shards;
   };
-  const Case cases[] = {
-      {"serial", core::UpdateMode::kSerial, 1},
-      {"batched x2", core::UpdateMode::kBatchedShards, 2},
-  };
+  const Case cases[] = {{"serial", 1}, {"batched x2", 2}};
   for (const Case& c : cases) {
     bench::HarnessConfig config;
     config.grid_rows = 4;  // smallest grid the flow patterns accept
@@ -134,7 +124,6 @@ int run_smoke() {
         bench::make_env(*grid, scenario::FlowPattern::kPattern1, config);
     core::PairUpConfig pairup = bench::make_pairup_config(config);
     pairup.ppo.minibatch = 32;
-    pairup.update_mode = c.mode;
     pairup.num_update_shards = c.num_shards;
     pairup.update_path = core::UpdatePath::kFused;
     core::PairUpLightTrainer trainer(environment.get(), pairup);
@@ -194,17 +183,11 @@ int main(int argc, char** argv) {
 
   struct Config {
     core::UpdatePath path;
-    core::UpdateMode mode;
     std::size_t num_shards;
   };
   std::vector<Config> configs;
-  for (core::UpdatePath path : {core::UpdatePath::kTape, core::UpdatePath::kFused}) {
-    configs.push_back({path, core::UpdateMode::kSerial, 1});
-    for (std::size_t shards : {std::size_t{2}, std::size_t{4}, std::size_t{8}})
-      configs.push_back({path, core::UpdateMode::kPerSampleShards, shards});
-    for (std::size_t shards : {std::size_t{2}, std::size_t{4}, std::size_t{8}})
-      configs.push_back({path, core::UpdateMode::kBatchedShards, shards});
-  }
+  for (core::UpdatePath path : {core::UpdatePath::kTape, core::UpdatePath::kFused})
+    for (std::size_t shards : {1, 2, 4, 8}) configs.push_back({path, shards});
 
   // Collect the seeded batch once: all trainers share identical initial
   // weights (same seed) and the collection path does not depend on the
@@ -218,20 +201,17 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   for (const Config& c : configs) {
     // Fresh env + trainer per configuration: identical initial weights, so
-    // rounds differ only in update layout and backward path.
+    // rounds differ only in shard count and backward path.
     auto environment =
         bench::make_env(*grid, scenario::FlowPattern::kPattern1, config);
     core::PairUpConfig pairup_config = pairup_template;
     pairup_config.num_update_shards = c.num_shards;
-    pairup_config.update_mode = c.mode;
     pairup_config.update_path = c.path;
     core::PairUpLightTrainer trainer(environment.get(), pairup_config);
 
     Row row;
     row.path = c.path;
-    row.mode = c.mode;
     row.num_update_shards = c.num_shards;
-    row.effective_shards = trainer.update_shards();
     row.thread_limited = hw != 0 && c.num_shards > hw;
     row.batch_samples = collected.buffer.total_samples();
     {

@@ -1,23 +1,19 @@
 // Rollout-collection throughput: environment steps per second for
-// num_envs in {1, 2, 4, 8} on the paper's 6x6 grid, for both collectors:
-// the per-agent path (serial when num_envs == 1, thread-pool otherwise)
-// and the fleet-batched engine (all replicas stepped in lockstep, one GEMM
-// per layer across num_envs x num_agents rows; core/fleet_engine.hpp).
+// num_envs in {1, 2, 4, 8} on the paper's 6x6 grid, at both kernel tiers.
+// Collection runs through the fleet engine (core/fleet_engine.hpp): all
+// replicas stepped in lockstep on one thread, one GEMM per layer across
+// num_envs x num_agents rows.
 //
-// Measures collect_rollouts() only (the parallelized phase; the PPO update
-// stays serial), reporting steps/sec, wall time per episode, and speedup
-// over the serial per-agent collector. Every JSON row records the hardware
-// thread count and the fleet/batch configuration so the trajectory can
-// distinguish batching wins from thread-count artifacts; threaded rows that
-// ask for more workers than the machine has are flagged thread_limited
-// (their speedup_vs_serial measures thread starvation, not the collector).
-// Results land on stdout and in BENCH_rollout.json.
+// Measures collect_rollouts() only (the PPO update is covered by
+// bench_ppo_update), reporting steps/sec, wall time per episode, and speedup
+// over the reference-tier num_envs = 1 row. Every JSON row records the
+// hardware thread count and the fleet configuration. Results land on stdout
+// and in BENCH_rollout.json.
 //
-// Knobs: PAIRUP_EPISODES (collection rounds per worker count, default 3),
+// Knobs: PAIRUP_EPISODES (collection rounds per configuration, default 3),
 // PAIRUP_EPISODE_SECONDS (default 600), PAIRUP_TIME_SCALE, PAIRUP_SEED.
 // `--smoke` shrinks the run (1 round, 60 s episodes, num_envs <= 2) for CI
 // wiring checks.
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -35,19 +31,16 @@ using namespace tsc;
 
 struct Row {
   std::size_t num_envs = 0;
-  bool fleet_batched = false;
   tsc::nn::KernelTier kernel_tier = tsc::nn::KernelTier::kReference;
-  bool thread_limited = false;
   std::size_t env_steps = 0;
   double wall_seconds = 0.0;
   double steps_per_sec = 0.0;
   double wall_per_episode = 0.0;
-  double speedup = 1.0;  ///< vs the serial per-agent row
+  double speedup = 1.0;  ///< vs the reference-tier num_envs = 1 row
 };
 
 std::string row_name(const Row& r) {
-  return std::string(r.fleet_batched ? "fleet" : "per-agent") + " " +
-         nn::kernel_tier_name(r.kernel_tier) +
+  return std::string("fleet ") + nn::kernel_tier_name(r.kernel_tier) +
          " num_envs=" + std::to_string(r.num_envs);
 }
 
@@ -61,7 +54,7 @@ void write_json(const std::string& path, const bench::HarnessConfig& config,
   const unsigned hw = std::thread::hardware_concurrency();
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"rollout_throughput\",\n");
-  std::fprintf(f, "  \"hardware_concurrency\": %u,\n", hw);
+  std::fprintf(f, "  \"hardware_threads\": %u,\n", hw);
   std::fprintf(f, "  \"grid\": [%zu, %zu],\n", config.grid_rows, config.grid_cols);
   std::fprintf(f, "  \"episode_seconds\": %g,\n", config.episode_seconds);
   std::fprintf(f, "  \"rounds\": %zu,\n", config.episodes);
@@ -69,18 +62,14 @@ void write_json(const std::string& path, const bench::HarnessConfig& config,
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(f,
-                 "    {\"num_envs\": %zu, \"fleet_batched\": %s, "
-                 "\"kernel_tier\": \"%s\", "
-                 "\"hardware_threads\": %u, \"thread_limited\": %s, "
-                 "\"env_steps\": %zu, "
+                 "    {\"num_envs\": %zu, \"kernel_tier\": \"%s\", "
+                 "\"hardware_threads\": %u, \"env_steps\": %zu, "
                  "\"wall_seconds\": %.6f, \"env_steps_per_sec\": %.2f, "
                  "\"wall_seconds_per_episode\": %.6f, "
-                 "\"speedup_vs_serial\": %.3f}%s\n",
-                 r.num_envs, r.fleet_batched ? "true" : "false",
-                 nn::kernel_tier_name(r.kernel_tier), hw,
-                 r.thread_limited ? "true" : "false", r.env_steps,
-                 r.wall_seconds, r.steps_per_sec, r.wall_per_episode, r.speedup,
-                 i + 1 < rows.size() ? "," : "");
+                 "\"speedup_vs_single_env\": %.3f}%s\n",
+                 r.num_envs, nn::kernel_tier_name(r.kernel_tier), hw,
+                 r.env_steps, r.wall_seconds, r.steps_per_sec,
+                 r.wall_per_episode, r.speedup, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -91,7 +80,7 @@ void write_json(const std::string& path, const bench::HarnessConfig& config,
 
 int main(int argc, char** argv) {
   bench::HarnessConfig defaults;
-  defaults.episodes = 3;  // collection rounds per worker count
+  defaults.episodes = 3;  // collection rounds per configuration
   bool smoke = false;
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
@@ -101,14 +90,14 @@ int main(int argc, char** argv) {
   }
   const bench::HarnessConfig config = bench::load_config(defaults);
   auto grid = bench::make_grid(config);
-  const unsigned hw = std::thread::hardware_concurrency();
 
   std::printf(
       "Rollout collection throughput, %zux%zu grid, %g s episodes, "
       "%zu rounds per configuration%s\n"
-      "hardware_concurrency: %u\n\n",
+      "hardware_threads: %u\n\n",
       config.grid_rows, config.grid_cols, config.episode_seconds,
-      config.episodes, smoke ? " (smoke)" : "", hw);
+      config.episodes, smoke ? " (smoke)" : "",
+      std::thread::hardware_concurrency());
   bench::print_header("collector", {"steps/sec", "s/episode", "speedup"});
 
   std::vector<std::size_t> env_counts = {1, 2, 4, 8};
@@ -117,29 +106,19 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   for (nn::KernelTier tier :
        {nn::KernelTier::kReference, nn::KernelTier::kFast}) {
-  for (bool fleet : {false, true}) {
     for (std::size_t num_envs : env_counts) {
       // Fresh env + trainer per configuration: identical initial weights, so
-      // rounds differ only in the collector (threaded vs lockstep fleet) and
-      // the kernel tier. Speedups stay relative to the serial per-agent
-      // REFERENCE row (rows.front()), so fast-tier rows read directly as
-      // end-to-end kernel-tier lift.
+      // rounds differ only in the fleet size and the kernel tier.
       auto environment =
           bench::make_env(*grid, scenario::FlowPattern::kPattern1, config);
       core::PairUpConfig pairup_config = bench::make_pairup_config(config);
       pairup_config.num_envs = num_envs;
-      pairup_config.fleet_batched = fleet;
       pairup_config.kernel_tier = tier;
-      if (fleet) pairup_config.inference_path = true;  // fleet requires it
       core::PairUpLightTrainer trainer(environment.get(), pairup_config);
 
       Row row;
       row.num_envs = num_envs;
-      row.fleet_batched = fleet;
       row.kernel_tier = tier;
-      // The fleet engine is single-threaded by design; only the thread-pool
-      // collector can be starved of hardware threads.
-      row.thread_limited = !fleet && num_envs > std::max(1u, hw);
       std::size_t episodes = 0;
       const auto t0 = std::chrono::steady_clock::now();
       for (std::size_t r = 0; r < config.episodes; ++r) {
@@ -158,12 +137,7 @@ int main(int argc, char** argv) {
 
       bench::print_row(row_name(row),
                        {row.steps_per_sec, row.wall_per_episode, row.speedup});
-      if (row.thread_limited)
-        std::printf("    (thread_limited: %zu workers on %u hardware "
-                    "thread%s; speedup reflects starvation)\n",
-                    num_envs, hw, hw == 1 ? "" : "s");
     }
-  }
   }
 
   write_json("BENCH_rollout.json", config, rows);

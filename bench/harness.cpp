@@ -3,33 +3,39 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 
 #include "src/util/csv.hpp"
 #include "src/util/log.hpp"
+#include "src/util/parse.hpp"
 
 namespace tsc::bench {
 namespace {
 
-double env_double(const char* name, double fallback) {
+// Value of environment variable `name` as parsed by `parse`, or `fallback`
+// when unset. A value that does not parse in full is an error, never a
+// silent 0 or a wrapped negative.
+template <typename T, typename Parse>
+T env_value(const char* name, T fallback, Parse parse, const char* expected) {
   const char* v = std::getenv(name);
-  return v ? std::atof(v) : fallback;
+  if (v == nullptr) return fallback;
+  const auto parsed = parse(std::string(v));
+  if (!parsed)
+    throw std::invalid_argument(std::string(name) + ": expected " + expected +
+                                ", got \"" + v + "\"");
+  return static_cast<T>(*parsed);
+}
+
+double env_double(const char* name, double fallback) {
+  return env_value(name, fallback, util::parse_double, "a finite number");
+}
+
+std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
+  return env_value(name, fallback, util::parse_u64, "a non-negative integer");
 }
 
 std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* v = std::getenv(name);
-  return v ? static_cast<std::size_t>(std::atoll(v)) : fallback;
-}
-
-core::UpdateMode env_update_mode(const char* name, core::UpdateMode fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return fallback;
-  const std::string s(v);
-  if (s == "serial") return core::UpdateMode::kSerial;
-  if (s == "per_sample") return core::UpdateMode::kPerSampleShards;
-  if (s == "batched") return core::UpdateMode::kBatchedShards;
-  log_warn(name, ": unknown update mode \"", s,
-           "\" (want serial | per_sample | batched), keeping default");
-  return fallback;
+  return static_cast<std::size_t>(env_u64(name, fallback));
 }
 
 core::UpdatePath env_update_path(const char* name, core::UpdatePath fallback) {
@@ -38,21 +44,11 @@ core::UpdatePath env_update_path(const char* name, core::UpdatePath fallback) {
   const std::string s(v);
   if (s == "tape") return core::UpdatePath::kTape;
   if (s == "fused") return core::UpdatePath::kFused;
-  log_warn(name, ": unknown update path \"", s,
-           "\" (want tape | fused), keeping default");
-  return fallback;
+  throw std::invalid_argument(std::string(name) +
+                              ": expected tape or fused, got \"" + s + "\"");
 }
 
 }  // namespace
-
-const char* update_mode_name(core::UpdateMode mode) {
-  switch (mode) {
-    case core::UpdateMode::kSerial: return "serial";
-    case core::UpdateMode::kPerSampleShards: return "per_sample";
-    case core::UpdateMode::kBatchedShards: return "batched";
-  }
-  return "unknown";
-}
 
 const char* update_path_name(core::UpdatePath path) {
   switch (path) {
@@ -68,16 +64,11 @@ HarnessConfig load_config(HarnessConfig defaults) {
   config.time_scale = env_double("PAIRUP_TIME_SCALE", config.time_scale);
   config.episode_seconds =
       env_double("PAIRUP_EPISODE_SECONDS", config.episode_seconds);
-  config.seed = env_size("PAIRUP_SEED", config.seed);
+  config.seed = env_u64("PAIRUP_SEED", config.seed);
   config.num_envs = std::max<std::size_t>(1, env_size("PAIRUP_NUM_ENVS", config.num_envs));
   config.num_update_shards = std::max<std::size_t>(
       1, env_size("PAIRUP_NUM_UPDATE_SHARDS", config.num_update_shards));
-  config.update_mode = env_update_mode("PAIRUP_UPDATE_MODE", config.update_mode);
   config.update_path = env_update_path("PAIRUP_UPDATE_PATH", config.update_path);
-  config.inference_path =
-      env_size("PAIRUP_INFERENCE", config.inference_path ? 1 : 0) != 0;
-  config.fleet_batched =
-      env_size("PAIRUP_FLEET_BATCHED", config.fleet_batched ? 1 : 0) != 0;
   config.kernel_tier = nn::kernel_tier_from_env(config.kernel_tier);
   return config;
 }
@@ -87,10 +78,7 @@ core::PairUpConfig make_pairup_config(const HarnessConfig& config) {
   pairup.seed = config.seed;
   pairup.num_envs = config.num_envs;
   pairup.num_update_shards = config.num_update_shards;
-  pairup.update_mode = config.update_mode;
   pairup.update_path = config.update_path;
-  pairup.inference_path = config.inference_path;
-  pairup.fleet_batched = config.fleet_batched;
   pairup.kernel_tier = config.kernel_tier;
   return pairup;
 }

@@ -9,29 +9,23 @@
 //   PAIRUP_TIME_SCALE   flow-schedule compression (default 1/6)
 //   PAIRUP_EPISODE_SECONDS  simulated seconds per episode (default 600)
 //   PAIRUP_SEED         base seed (default 1)
-//   PAIRUP_NUM_ENVS     parallel rollout environments per training step
-//                       (default 1 = serial; see core/rollout_engine.hpp)
+//   PAIRUP_NUM_ENVS     environment replicas collected per training step
+//                       (default 1; stepped in lockstep by
+//                       core/fleet_engine.hpp)
 //   PAIRUP_NUM_UPDATE_SHARDS  PPO-update worker threads per minibatch
-//                       (default 1 = serial; see core/update_engine.hpp)
-//   PAIRUP_UPDATE_MODE  sharded-update layout: "serial", "per_sample"
-//                       (bit-identical to serial) or "batched" (default;
-//                       one batched pass per shard, tolerance-bounded)
+//                       (default 1 = serial; K > 1 runs one batched pass
+//                       per shard, tolerance-bounded against serial; see
+//                       core/update_engine.hpp)
 //   PAIRUP_UPDATE_PATH  PPO backward implementation: "fused" (default;
 //                       tape-free analytic backward, nn/backward.hpp) or
 //                       "tape" (autodiff oracle). Bit-identical either way
-//                       for every update mode and shard count
-//                       (tests/test_backward_path.cpp).
-//   PAIRUP_INFERENCE    1 (default) = tape-free inference path for rollout
-//                       and evaluation forwards; 0 = force the tape path
-//                       (bit-identical either way, see nn/inference.hpp)
-//   PAIRUP_FLEET_BATCHED  1 = lockstep fleet-batched rollout collection
-//                       (one GEMM per layer across all envs x agents,
-//                       bit-identical to the per-agent path; see
-//                       core/fleet_engine.hpp). Default 0.
-//   PAIRUP_KERNEL_TIER  math-kernel tier for inference-path forwards:
+//                       for every shard count (tests/test_backward_path.cpp).
+//   PAIRUP_KERNEL_TIER  math-kernel tier for rollout/evaluation forwards:
 //                       "reference" (default; bit-exact) or "fast"
 //                       (SIMD/FMA, tolerance-bounded; see nn/kernels.hpp
 //                       and the README determinism matrix).
+// A malformed value (e.g. PAIRUP_EPISODES=1O or PAIRUP_SEED=-1) makes
+// load_config throw std::invalid_argument naming the variable.
 // Set PAIRUP_TIME_SCALE=1 PAIRUP_EPISODE_SECONDS=3600 PAIRUP_EPISODES=1000
 // to replicate the paper's full protocol.
 #pragma once
@@ -56,27 +50,22 @@ struct HarnessConfig {
   std::uint64_t seed = 1;
   std::size_t grid_rows = 6;
   std::size_t grid_cols = 6;
-  std::size_t num_envs = 1;        ///< parallel rollout envs per train step
+  std::size_t num_envs = 1;        ///< env replicas collected per train step
   std::size_t num_update_shards = 1;  ///< PPO-update shards per minibatch
-  core::UpdateMode update_mode = core::UpdateMode::kBatchedShards;
   core::UpdatePath update_path = core::UpdatePath::kFused;  ///< PPO backward
-  bool inference_path = true;      ///< tape-free rollout/eval forwards
-  bool fleet_batched = false;      ///< lockstep fleet-batched collection
   nn::KernelTier kernel_tier = nn::KernelTier::kReference;  ///< math kernels
 };
-
-/// Human-readable name of an UpdateMode ("serial" / "per_sample" /
-/// "batched"), matching what PAIRUP_UPDATE_MODE accepts.
-const char* update_mode_name(core::UpdateMode mode);
 
 /// Human-readable name of an UpdatePath ("tape" / "fused"), matching what
 /// PAIRUP_UPDATE_PATH accepts.
 const char* update_path_name(core::UpdatePath path);
 
-/// Reads the PAIRUP_* environment overrides on top of `defaults`.
+/// Reads the PAIRUP_* environment overrides on top of `defaults`. Throws
+/// std::invalid_argument, naming the variable, when a set value does not
+/// parse in full (util/parse.hpp).
 HarnessConfig load_config(HarnessConfig defaults);
 
-/// PairUpLight trainer config wired to the harness knobs (seed + num_envs).
+/// PairUpLight trainer config wired to the harness knobs.
 /// Benches tweak the returned struct further as each experiment needs.
 core::PairUpConfig make_pairup_config(const HarnessConfig& config);
 

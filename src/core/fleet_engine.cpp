@@ -20,7 +20,6 @@ FleetRolloutEngine::FleetRolloutEngine(const PairUpConfig* config,
       hop1_slots_(hop1_slots),
       hop2_slots_(hop2_slots),
       critic_input_dim_(critic_input_dim) {
-  assert(config_->inference_path && "fleet engine has no tape fallback");
   // All layer forwards through this workspace take the multi-row blocked
   // GEMM (bit-identical to the reference kernel; see nn/tensor.hpp) — or,
   // in the fast tier, the FMA GEMM plus the vectorized gate nonlinearities
@@ -36,10 +35,10 @@ void FleetRolloutEngine::reshape_slab(Tensor& slab, std::size_t rows,
   if (slab.values().capacity() != cap_before) ++slab_events_;
 }
 
-void FleetRolloutEngine::decide_fleet(std::vector<FleetSlot>& slots,
-                                      const std::vector<std::size_t>& active,
-                                      bool explore, bool record,
-                                      std::vector<Rng>* sample_rngs) {
+void FleetRolloutEngine::decide(std::vector<FleetSlot>& slots,
+                                const std::vector<std::size_t>& active,
+                                bool explore, bool record,
+                                std::vector<Rng>* sample_rngs) {
   const std::size_t num_active = active.size();
   const std::size_t n = slots[active.front()].env->num_agents();
   const std::size_t hidden = config_->hidden;
@@ -47,8 +46,8 @@ void FleetRolloutEngine::decide_fleet(std::vector<FleetSlot>& slots,
   const std::size_t obs_dim = slots[active.front()].env->obs_dim();
   const std::size_t actor_in_dim = obs_dim + msg_dim;
 
-  // Phase 1 — partner picks, env-ascending then agent-ascending: each env's
-  // exploration stream is consumed in exactly decide_step's gather order.
+  // Phase 1 — partner picks, slot-ascending then agent-ascending: each
+  // slot's exploration stream is consumed in agent order.
   for (std::size_t a = 0; a < num_active; ++a) {
     const std::size_t w = active[a];
     FleetSlot& slot = slots[w];
@@ -58,7 +57,7 @@ void FleetRolloutEngine::decide_fleet(std::vector<FleetSlot>& slots,
 
   // Phase 2 — acquire every bucket's batch tensors, then pack ALL input
   // rows before any forward runs: everyone reads the PREVIOUS step's
-  // messages (decide_step's synchronous sweep; matters when agents span
+  // messages (Algorithm 1's synchronous sweep; matters when agents span
   // multiple buckets, since a bucket's scatter updates its message rows).
   ws_.begin_pass();
   for (std::size_t m = 0; m < groups_.size(); ++m) {
@@ -110,8 +109,8 @@ void FleetRolloutEngine::decide_fleet(std::vector<FleetSlot>& slots,
   }
 
   // Phase 3 — per bucket (model order): one fleet-sized batched forward,
-  // then the scatter. Rows are env-major with members ascending inside an
-  // env, so each env's RNG draws happen in decide_step's per-agent order.
+  // then the scatter. Rows are slot-major with members ascending inside a
+  // slot, so each slot's RNG draws happen in agent order.
   for (std::size_t m = 0; m < groups_.size(); ++m) {
     const auto& members = groups_[m];
     if (members.empty()) continue;
@@ -150,8 +149,9 @@ void FleetRolloutEngine::decide_fleet(std::vector<FleetSlot>& slots,
         const std::size_t row = a * bucket + b;
         const std::size_t num_phases = phase_counts_[row];
 
-        // Action selection: decide_step's branches verbatim, on this slot's
-        // streams.
+        // Action selection on this slot's streams: greedy or sampled
+        // evaluation, sampled training, or paper Algorithm 1's
+        // epsilon-greedy over the policy's argmax.
         std::size_t action;
         Rng* srng = sample_rngs != nullptr ? &(*sample_rngs)[w] : nullptr;
         if (!explore) {
@@ -202,9 +202,8 @@ void FleetRolloutEngine::decide_fleet(std::vector<FleetSlot>& slots,
         }
 
         // Advance recurrent state (slab rows were read above, so samples
-        // hold the pre-step state, like decide_step) and regularize the
-        // outgoing message: m_hat = Logistic(N(m, sigma)), noiseless when
-        // not exploring.
+        // hold the pre-step state) and regularize the outgoing message:
+        // m_hat = Logistic(N(m, sigma)), noiseless when not exploring.
         std::copy(ha_t.data() + row * hidden, ha_t.data() + (row + 1) * hidden,
                   h_a_.data() + srow);
         std::copy(ca_t.data() + row * hidden, ca_t.data() + (row + 1) * hidden,
@@ -225,8 +224,8 @@ void FleetRolloutEngine::decide_fleet(std::vector<FleetSlot>& slots,
   }
 }
 
-std::vector<env::EpisodeStats> FleetRolloutEngine::run_episodes(
-    std::vector<FleetSlot>& slots, bool train_mode, double epsilon) {
+void FleetRolloutEngine::begin(const std::vector<FleetSlot>& slots,
+                               double epsilon) {
   assert(!slots.empty());
   const std::size_t k = slots.size();
   const std::size_t n = slots.front().env->num_agents();
@@ -245,7 +244,8 @@ std::vector<env::EpisodeStats> FleetRolloutEngine::run_episodes(
   }
   bucket_slots_.resize(actors_.size());
 
-  // Fleet-ordered state slabs, zeroed like reset_agent_states.
+  // Fleet-ordered state slabs, zeroed: every episode starts from h = c = 0
+  // and silent (all-zero) messages.
   reshape_slab(h_a_, k * n, hidden);
   reshape_slab(c_a_, k * n, hidden);
   reshape_slab(h_v_, k * n, hidden);
@@ -260,22 +260,31 @@ std::vector<env::EpisodeStats> FleetRolloutEngine::run_episodes(
   actions_.resize(k);
   values_.resize(k);
   partners_.resize(k);
+  for (std::size_t w = 0; w < k; ++w) {
+    assert(slots[w].env != nullptr);
+    assert(slots[w].env->num_agents() == n);
+    actions_[w].resize(n);
+    values_[w].resize(n);
+    partners_[w].resize(n);
+  }
+}
+
+std::vector<env::EpisodeStats> FleetRolloutEngine::run_episodes(
+    std::vector<FleetSlot>& slots, bool train_mode, double epsilon) {
+  begin(slots, epsilon);
+  const std::size_t k = slots.size();
+  const std::size_t n = slots.front().env->num_agents();
   reward_sum_.assign(k, 0.0);
   reward_count_.assign(k, 0);
   last_messages_.resize(k);
   last_partners_.resize(k);
-  for (std::size_t w = 0; w < k; ++w) {
-    actions_[w].resize(n);
-    values_[w].resize(n);
-    partners_[w].resize(n);
-    assert(slots[w].env != nullptr);
-    assert(slots[w].env->num_agents() == n);
-    assert(!train_mode || slots[w].buffer != nullptr);
-    slots[w].env->reset(slots[w].seed);
+  for (FleetSlot& slot : slots) {
+    assert(!train_mode || slot.buffer != nullptr);
+    slot.env->reset(slot.seed);
   }
 
-  // Stochastic-eval streams derive from each slot's episode seed, exactly
-  // like run_rollout_episode's eval_rng.
+  // Stochastic-eval streams derive from each slot's episode seed, the same
+  // seed ^ kEvalSampleSalt stream every stochastic controller uses.
   std::vector<Rng> sample_rngs;
   const bool use_sample_rng = !train_mode && !config_->greedy_eval;
   if (use_sample_rng) {
@@ -289,9 +298,8 @@ std::vector<env::EpisodeStats> FleetRolloutEngine::run_episodes(
 
   std::vector<env::EpisodeStats> stats(k);
   while (!active_.empty()) {
-    decide_fleet(slots, active_, /*explore=*/train_mode,
-                 /*record=*/train_mode,
-                 use_sample_rng ? &sample_rngs : nullptr);
+    decide(slots, active_, /*explore=*/train_mode, /*record=*/train_mode,
+           use_sample_rng ? &sample_rngs : nullptr);
     newly_done_.clear();
     for (std::size_t w : active_) {
       FleetSlot& slot = slots[w];
@@ -308,11 +316,10 @@ std::vector<env::EpisodeStats> FleetRolloutEngine::run_episodes(
     if (newly_done_.empty()) continue;
 
     if (train_mode) {
-      // Bootstrap V(s_T) for the finished envs in one batched decision
-      // (Algorithm 1 line 24; consumes each env's streams exactly like the
-      // per-env bootstrap decide_step).
-      decide_fleet(slots, newly_done_, /*explore=*/false, /*record=*/false,
-                   nullptr);
+      // Bootstrap V(s_T) for the finished envs in one batched greedy
+      // decision (Algorithm 1 line 24).
+      decide(slots, newly_done_, /*explore=*/false, /*record=*/false,
+             nullptr);
       for (std::size_t w : newly_done_)
         for (std::size_t i = 0; i < n; ++i)
           slots[w].buffer->finish_agent(i, values_[w][i], config_->ppo.gamma,

@@ -1,51 +1,54 @@
-// Fleet-batched rollout collection: all environment replicas stepped in
-// lockstep on ONE thread, with every layer forward running as a single
-// (num_envs * num_agents)-row GEMM per model bucket.
+// The one PairUpLight decision engine: training rollouts, evaluation and
+// deployment control all run through it. It steps a fleet of environment
+// replicas ("slots") in lockstep on ONE thread, with every layer forward
+// running as a single (num_slots * num_agents)-row GEMM per model bucket.
 //
-// The per-agent path (core/rollout_engine.hpp) runs each replica's episode
-// independently: per env step it packs at most num_agents rows per forward,
-// and with num_envs > 1 it buys throughput only from thread overlap — which
-// on few hardware threads is nearly nothing. The fleet engine instead holds
-// ONE decision batch for the whole fleet: observation rows from every
-// replica are packed into shared SoA batch matrices (reused
-// InferenceWorkspace slots, one persistent row-block layout per fleet), the
-// actor/critic forwards run once per model bucket at fleet batch size
-// through the multi-row blocked GEMM kernel (nn::matmul_into_batched), and
-// LSTM h/c plus outgoing messages stay resident in fleet-ordered slab
-// tensors (row = env * num_agents + agent) instead of per-agent vectors.
+// Observation rows from every slot are packed into shared batch matrices
+// (reused InferenceWorkspace slots, one persistent row-block layout per
+// fleet), the actor/critic forwards run once per model bucket through the
+// multi-row blocked GEMM kernel (nn::matmul_into_batched), and LSTM h/c plus
+// outgoing messages stay resident in fleet-ordered slab tensors
+// (row = slot * num_agents + agent). A one-slot fleet is the serial case:
+// the trainer's own environment and exploration stream (num_envs = 1,
+// eval_episode, the controller).
 //
-// Heterogeneous networks bucket agents by model exactly like
-// decide_step's groups: under parameter sharing one bucket holds all
-// agents (homogeneous obs/phase shape by construction); without sharing
+// Buckets group agents by model: under parameter sharing one bucket holds
+// all agents (homogeneous obs/phase shape by construction); without sharing
 // (Monaco) each agent's model is its own bucket and the fleet batches that
-// agent's rows across replicas. Per-agent phase masks are applied at the
+// agent's rows across slots. Per-agent phase masks are applied at the
 // logits inside the bucket's batched forward, so phase-count heterogeneity
 // never splits a bucket.
 //
-// BIT-IDENTITY CONTRACT: for the same slots (env seeds, exploration
-// streams, weights) the fleet engine reproduces the per-agent engine's
-// trajectories bit-for-bit — actions, log-probs, values, messages, buffer
-// contents, stats. Three properties carry the proof:
+// DETERMINISM CONTRACT. Trajectories are bit-identical to the historical
+// per-agent decision loop (one forward per model per env step, pinned by the
+// serial and num_envs = 2 goldens) and every recorded sample's log-prob and
+// value equal a tape forward from its stored inputs (the tape-oracle tests
+// in tests/test_inference.cpp). Three properties carry this:
 //  1. Every kernel is row-independent and the batched GEMM is bit-identical
 //     to the reference kernel (nn/tensor.hpp), so packing more rows into a
 //     batch never changes any row's result.
 //  2. Gather order: ALL buckets' input rows are packed (and partners
-//     picked, env-ascending then agent-ascending) before any bucket's
+//     picked, slot-ascending then agent-ascending) before any bucket's
 //     forward/scatter runs, so every agent sees the PREVIOUS step's
-//     messages — decide_step's synchronous sweep.
+//     messages - Algorithm 1's synchronous sweep.
 //  3. Scatter order: buckets are processed in model order and each bucket's
-//     rows env-major (members ascending within an env), so each env's RNG
-//     stream is consumed in exactly decide_step's per-agent order. Streams
-//     are per-env, so interleaving across envs is unobservable.
-// tests/test_inference_path.cpp pins the contract for num_envs in {1,2,4},
-// heterogeneous Monaco buckets, and multi-episode LSTM carry.
+//     rows slot-major (members ascending within a slot), so each slot's RNG
+//     stream is consumed in agent order. Streams are per slot, so
+//     interleaving across slots is unobservable.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <vector>
 
+#include "src/core/actor.hpp"
+#include "src/core/critic.hpp"
 #include "src/core/rollout_engine.hpp"
+#include "src/env/controller.hpp"
+#include "src/env/env.hpp"
+#include "src/nn/inference.hpp"
+#include "src/rl/rollout.hpp"
+#include "src/util/rng.hpp"
 
 namespace tsc::core {
 
@@ -63,8 +66,7 @@ struct FleetSlot {
 class FleetRolloutEngine {
  public:
   /// Captures the live models (read-only during runs; single-threaded, so
-  /// no copies or weight sync needed). Layout parameters mirror
-  /// RolloutContext.
+  /// no copies or weight sync needed) and the critic's neighbor-ring layout.
   FleetRolloutEngine(const PairUpConfig* config,
                      std::vector<CoordinatedActor*> actors,
                      std::vector<CentralizedCritic*> critics,
@@ -72,15 +74,35 @@ class FleetRolloutEngine {
                      std::size_t critic_input_dim);
 
   /// Runs one full episode on every slot in lockstep (each env reset with
-  /// its slot seed). Train mode records into each slot's buffer, bootstraps
-  /// the terminal value, and runs GAE per agent — the fleet equivalent of
-  /// run_rollout_episode(train_mode=true) per slot. Eval mode follows
-  /// config.greedy_eval (stochastic eval streams derive from each slot's
-  /// seed, like the serial path). Returns per-slot stats in slot order.
-  /// The slot count may differ between calls; buffers reaching their peak
-  /// fleet shape stop allocating (alloc_events()).
+  /// its slot seed): begin(), then decide() and env steps until every slot
+  /// is done. Train mode records into each slot's buffer, bootstraps the
+  /// terminal value, and runs GAE per agent. Eval mode follows
+  /// config.greedy_eval; stochastic eval streams derive from each slot's
+  /// seed. Returns per-slot stats in slot order. The slot count may differ
+  /// between calls; buffers reaching their peak fleet shape stop allocating
+  /// (alloc_events()).
   std::vector<env::EpisodeStats> run_episodes(std::vector<FleetSlot>& slots,
                                               bool train_mode, double epsilon);
+
+  /// Starts an episode on `slots` without touching the envs: lays out the
+  /// model buckets and zeroes the recurrent/message slabs. `epsilon` is the
+  /// epsilon-greedy value exploring decisions use.
+  void begin(const std::vector<FleetSlot>& slots, double epsilon);
+
+  /// One lockstep decision for the slots listed in `active` (indices into
+  /// `slots`, whose envs sit at their current state). Fills actions(w) and
+  /// advances the recurrent state and messages. `explore` samples actions
+  /// per the exploration rule and adds message noise; otherwise actions are
+  /// the argmax, or draws from `(*sample_rngs)[w]` when that is non-null.
+  /// `record` adds a sample per agent to each slot's buffer.
+  void decide(std::vector<FleetSlot>& slots,
+              const std::vector<std::size_t>& active, bool explore,
+              bool record, std::vector<Rng>* sample_rngs);
+
+  /// Actions chosen for slot `w` at its last decide().
+  const std::vector<std::size_t>& actions(std::size_t w) const {
+    return actions_.at(w);
+  }
 
   /// Workspace + state-slab allocation events: warmup (first episodes at a
   /// new peak fleet size) allocates, steady state is exactly zero — the
@@ -88,8 +110,9 @@ class FleetRolloutEngine {
   std::size_t alloc_events() const { return ws_.alloc_events() + slab_events_; }
   const nn::InferenceWorkspace& workspace() const { return ws_; }
 
-  /// Protocol-inspection views of a slot's episode, recorded at its final
-  /// decision (matching RolloutContext.last_messages / last_partners).
+  /// Protocol-inspection views of a slot's run_episodes episode, recorded at
+  /// its final decision: each agent's regularized outgoing message and
+  /// pairing partner.
   const std::vector<std::vector<double>>& last_messages(std::size_t slot) const {
     return last_messages_.at(slot);
   }
@@ -98,13 +121,6 @@ class FleetRolloutEngine {
   }
 
  private:
-  /// One lockstep decision for the envs listed in `active` (indices into
-  /// `slots`). Fills actions_/values_ for those envs; `record` adds buffer
-  /// samples, `sample_rngs` (per slot, nullable) drives stochastic eval.
-  void decide_fleet(std::vector<FleetSlot>& slots,
-                    const std::vector<std::size_t>& active, bool explore,
-                    bool record, std::vector<Rng>* sample_rngs);
-
   /// Slab reshape that counts backing-storage growth like
   /// InferenceWorkspace::acquire (slabs never shrink capacity).
   void reshape_slab(nn::Tensor& slab, std::size_t rows, std::size_t cols);

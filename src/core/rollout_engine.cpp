@@ -1,92 +1,6 @@
 #include "src/core/rollout_engine.hpp"
 
-#include <algorithm>
-#include <array>
-#include <cassert>
-#include <cmath>
-
 namespace tsc::core {
-
-using tsc::nn::Tape;
-using tsc::nn::Tensor;
-using tsc::nn::Var;
-
-namespace detail {
-
-Tensor pack_rows(const std::vector<std::vector<double>>& rows, std::size_t width) {
-  Tensor t = Tensor::zeros(rows.size(), width);
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    assert(rows[r].size() == width);
-    for (std::size_t c = 0; c < width; ++c) t.at(r, c) = rows[r][c];
-  }
-  return t;
-}
-
-std::vector<double> extract_row(const Tensor& t, std::size_t r) {
-  std::vector<double> out(t.cols());
-  for (std::size_t c = 0; c < t.cols(); ++c) out[c] = t.at(r, c);
-  return out;
-}
-
-}  // namespace detail
-
-namespace {
-
-using detail::pack_rows;
-
-std::vector<double> actor_input(const RolloutContext& ctx, std::size_t agent,
-                                std::size_t partner,
-                                const std::vector<AgentState>& states) {
-  std::vector<double> input = ctx.env->local_obs(agent);
-  if (ctx.config->comm_enabled) {
-    const auto& msg = states[partner].msg_out;
-    input.insert(input.end(), msg.begin(), msg.end());
-  } else {
-    input.insert(input.end(), ctx.config->msg_dim, 0.0);
-  }
-  return input;
-}
-
-std::vector<double> critic_input(const RolloutContext& ctx, std::size_t agent) {
-  std::vector<double> input = ctx.env->local_obs(agent);
-  const env::AgentSpec& spec = ctx.env->agent(agent);
-  const std::size_t feat = env::TscEnv::kNeighborFeatDim;
-  for (std::size_t slot = 0; slot < ctx.hop1_slots; ++slot) {
-    if (slot < spec.hop1.size()) {
-      const auto f = ctx.env->neighbor_feat(spec.hop1[slot]);
-      input.insert(input.end(), f.begin(), f.end());
-    } else {
-      input.insert(input.end(), feat, 0.0);  // padding (paper section V-B)
-    }
-  }
-  for (std::size_t slot = 0; slot < ctx.hop2_slots; ++slot) {
-    if (slot < spec.hop2.size()) {
-      const auto f = ctx.env->neighbor_feat(spec.hop2[slot]);
-      input.insert(input.end(), f.begin(), f.end());
-    } else {
-      input.insert(input.end(), feat, 0.0);
-    }
-  }
-  assert(input.size() == ctx.critic_input_dim);
-  return input;
-}
-
-}  // namespace
-
-void reset_agent_states(const RolloutContext& ctx, std::vector<AgentState>& states) {
-  states.assign(ctx.env->num_agents(), AgentState{});
-  for (AgentState& s : states) {
-    s.h_a.assign(ctx.config->hidden, 0.0);
-    s.c_a.assign(ctx.config->hidden, 0.0);
-    s.h_v.assign(ctx.config->hidden, 0.0);
-    s.c_v.assign(ctx.config->hidden, 0.0);
-    s.msg_out.assign(ctx.config->msg_dim, 0.0);
-  }
-}
-
-std::size_t pick_partner(RolloutContext& ctx, std::size_t agent) {
-  return pick_partner(*ctx.env, *ctx.config, ctx.rng, agent);
-}
 
 std::size_t pick_partner(const env::TscEnv& env, const PairUpConfig& config,
                          Rng* rng, std::size_t agent) {
@@ -103,320 +17,6 @@ std::size_t pick_partner(const env::TscEnv& env, const PairUpConfig& config,
       return upstream.empty() ? agent : upstream.front();
   }
   return agent;
-}
-
-StepDecision decide_step(RolloutContext& ctx, std::vector<AgentState>& states,
-                         bool explore, rl::RolloutBuffer* buffer,
-                         Rng* sample_rng) {
-  const std::size_t n = ctx.env->num_agents();
-  StepDecision decision;
-  decision.actions.resize(n);
-  decision.log_probs.resize(n);
-  decision.values.resize(n);
-
-  // Partner picks first, in agent order (kRandomNeighbor draws from
-  // ctx.rng, so this order is part of the deterministic stream).
-  ctx.last_partners->resize(n);
-  for (std::size_t i = 0; i < n; ++i)
-    (*ctx.last_partners)[i] = pick_partner(ctx, i);
-
-  // Group agents by model so shared mode runs one batched forward.
-  std::vector<std::vector<std::size_t>> groups(ctx.actors.size());
-  for (std::size_t i = 0; i < n; ++i) groups[ctx.model_of(i)].push_back(i);
-
-  nn::InferenceWorkspace* const ws =
-      ctx.config->inference_path ? ctx.workspace : nullptr;
-  // Kernel tier follows the config on the inference path; the tape fallback
-  // has no fast kernels and always runs reference (nn/kernels.hpp).
-  if (ws != nullptr) ws->set_kernel_tier(ctx.config->kernel_tier);
-  const nn::KernelTier tier =
-      ws != nullptr ? ws->kernel_tier() : nn::KernelTier::kReference;
-
-  // Gather ALL inputs before any forward or state mutation (messages are
-  // the previous step's outputs for everyone, matching Algorithm 1's
-  // synchronous sweep — a later group must not see an earlier group's
-  // freshly advanced msg_out).
-  std::vector<std::vector<double>> a_inputs, v_inputs;
-  std::vector<std::array<Tensor*, 6>> gslots;
-  if (ws != nullptr) {
-    // Tape-free path: acquire every group's batch tensors up front and pack
-    // observation rows straight into them via the env's zero-copy row seam
-    // (no per-agent vector allocation).
-    ws->begin_pass();
-    const std::size_t hidden = ctx.config->hidden;
-    const std::size_t obs_dim = ctx.env->obs_dim();
-    gslots.assign(groups.size(), {});
-    for (std::size_t m = 0; m < groups.size(); ++m) {
-      if (groups[m].empty()) continue;
-      const std::size_t batch = groups[m].size();
-      gslots[m][0] = &ws->acquire(batch, ctx.actors[m]->input_dim());
-      gslots[m][1] = &ws->acquire(batch, hidden);
-      gslots[m][2] = &ws->acquire(batch, hidden);
-      gslots[m][3] = &ws->acquire(batch, ctx.critic_input_dim);
-      gslots[m][4] = &ws->acquire(batch, hidden);
-      gslots[m][5] = &ws->acquire(batch, hidden);
-    }
-    for (std::size_t m = 0; m < groups.size(); ++m) {
-      const auto& members = groups[m];
-      for (std::size_t b = 0; b < members.size(); ++b) {
-        const std::size_t i = members[b];
-        const AgentState& s = states[i];
-        double* in_row =
-            gslots[m][0]->data() + b * ctx.actors[m]->input_dim();
-        double* v_row = gslots[m][3]->data() + b * ctx.critic_input_dim;
-        ctx.env->obs_into_row(i, in_row, v_row, ctx.hop1_slots,
-                              ctx.hop2_slots);
-        if (ctx.config->comm_enabled) {
-          const auto& msg = states[(*ctx.last_partners)[i]].msg_out;
-          std::copy(msg.begin(), msg.end(), in_row + obs_dim);
-        } else {
-          std::fill(in_row + obs_dim,
-                    in_row + obs_dim + ctx.config->msg_dim, 0.0);
-        }
-        std::copy(s.h_a.begin(), s.h_a.end(),
-                  gslots[m][1]->data() + b * hidden);
-        std::copy(s.c_a.begin(), s.c_a.end(),
-                  gslots[m][2]->data() + b * hidden);
-        std::copy(s.h_v.begin(), s.h_v.end(),
-                  gslots[m][4]->data() + b * hidden);
-        std::copy(s.c_v.begin(), s.c_v.end(),
-                  gslots[m][5]->data() + b * hidden);
-      }
-    }
-  } else {
-    a_inputs.resize(n);
-    v_inputs.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      a_inputs[i] = actor_input(ctx, i, (*ctx.last_partners)[i], states);
-      v_inputs[i] = critic_input(ctx, i);
-    }
-  }
-
-  for (std::size_t m = 0; m < groups.size(); ++m) {
-    const auto& members = groups[m];
-    if (members.empty()) continue;
-    const std::size_t batch = members.size();
-
-    CoordinatedActor& actor = *ctx.actors[m];
-    CentralizedCritic& critic = *ctx.critics[m];
-    const std::size_t hidden = ctx.config->hidden;
-    std::vector<std::size_t> phase_counts(batch);
-    for (std::size_t b = 0; b < batch; ++b)
-      phase_counts[b] = ctx.env->agent(members[b]).num_phases;
-
-    // Both forward producers fill the same pointers; the action-selection /
-    // state-advance loop below is shared so the RNG consumption order is
-    // identical on either path.
-    const Tensor* probs_p = nullptr;
-    const Tensor* logp_p = nullptr;
-    const Tensor* msg_p = nullptr;
-    const Tensor* ha_p = nullptr;
-    const Tensor* ca_p = nullptr;
-    const Tensor* hv_p = nullptr;
-    const Tensor* cv_p = nullptr;
-    const Tensor* val_p = nullptr;
-
-    if (ws != nullptr) {
-      // Tape-free path: the batch tensors were packed above (before any
-      // forward) and run through the bit-identical forward_inference
-      // kernels here.
-      Tensor& input = *gslots[m][0];
-      Tensor& h_a = *gslots[m][1];
-      Tensor& c_a = *gslots[m][2];
-      Tensor& v_input = *gslots[m][3];
-      Tensor& h_v = *gslots[m][4];
-      Tensor& c_v = *gslots[m][5];
-      auto actor_out =
-          actor.forward_inference(*ws, input, h_a, c_a, phase_counts);
-      Tensor& probs = ws->acquire(batch, actor.max_phases());
-      nn::softmax_rows_into(probs, *actor_out.logits, tier);
-      Tensor& logp = ws->acquire(batch, actor.max_phases());
-      nn::log_softmax_rows_into(logp, *actor_out.logits, tier);
-      auto critic_out = critic.forward_inference(*ws, v_input, h_v, c_v);
-
-      probs_p = &probs;
-      logp_p = &logp;
-      msg_p = actor_out.message;
-      ha_p = actor_out.h;
-      ca_p = actor_out.c;
-      hv_p = critic_out.h;
-      cv_p = critic_out.c;
-      val_p = critic_out.value;
-    } else {
-      Tape& tape = *ctx.tape;
-      tape.reset();
-      std::vector<std::vector<double>> in_rows(batch), ha_rows(batch),
-          ca_rows(batch), vi_rows(batch), hv_rows(batch), cv_rows(batch);
-      for (std::size_t b = 0; b < batch; ++b) {
-        const std::size_t i = members[b];
-        in_rows[b] = a_inputs[i];
-        ha_rows[b] = states[i].h_a;
-        ca_rows[b] = states[i].c_a;
-        vi_rows[b] = v_inputs[i];
-        hv_rows[b] = states[i].h_v;
-        cv_rows[b] = states[i].c_v;
-      }
-
-      Var input = tape.constant(pack_rows(in_rows, actor.input_dim()));
-      Var h_a = tape.constant(pack_rows(ha_rows, hidden));
-      Var c_a = tape.constant(pack_rows(ca_rows, hidden));
-      auto actor_out = actor.forward(tape, input, h_a, c_a, phase_counts);
-      Var probs = tape.softmax_rows(actor_out.logits);
-      Var logp = tape.log_softmax_rows(actor_out.logits);
-
-      Var v_input = tape.constant(pack_rows(vi_rows, ctx.critic_input_dim));
-      Var h_v = tape.constant(pack_rows(hv_rows, hidden));
-      Var c_v = tape.constant(pack_rows(cv_rows, hidden));
-      auto critic_out = critic.forward(tape, v_input, h_v, c_v);
-
-      probs_p = &tape.value(probs);
-      logp_p = &tape.value(logp);
-      msg_p = &tape.value(actor_out.message);
-      ha_p = &tape.value(actor_out.state.h);
-      ca_p = &tape.value(actor_out.state.c);
-      hv_p = &tape.value(critic_out.state.h);
-      cv_p = &tape.value(critic_out.state.c);
-      val_p = &tape.value(critic_out.value);
-    }
-
-    const Tensor& probs_t = *probs_p;
-    const Tensor& logp_t = *logp_p;
-    const Tensor& msg_t = *msg_p;
-    const Tensor& ha_t = *ha_p;
-    const Tensor& ca_t = *ca_p;
-    const Tensor& hv_t = *hv_p;
-    const Tensor& cv_t = *cv_p;
-    const Tensor& val_t = *val_p;
-
-    for (std::size_t b = 0; b < batch; ++b) {
-      const std::size_t i = members[b];
-      const std::size_t num_phases = phase_counts[b];
-
-      // Action selection.
-      std::size_t action;
-      if (!explore) {
-        if (sample_rng != nullptr) {
-          // Stochastic evaluation: draw from the learned policy with the
-          // caller's deterministic stream.
-          std::vector<double> w(num_phases);
-          for (std::size_t p = 0; p < num_phases; ++p) w[p] = probs_t.at(b, p);
-          action = sample_rng->categorical(w);
-        } else {
-          action = 0;
-          for (std::size_t p = 1; p < num_phases; ++p)
-            if (probs_t.at(b, p) > probs_t.at(b, action)) action = p;
-        }
-      } else if (ctx.config->ppo.sample_actions) {
-        std::vector<double> w(num_phases);
-        for (std::size_t p = 0; p < num_phases; ++p) w[p] = probs_t.at(b, p);
-        action = ctx.rng->categorical(w);
-      } else {
-        // Paper Algorithm 1: epsilon-greedy over the policy's argmax.
-        if (ctx.rng->bernoulli(ctx.epsilon)) {
-          action = ctx.rng->uniform_int(num_phases);
-        } else {
-          action = 0;
-          for (std::size_t p = 1; p < num_phases; ++p)
-            if (probs_t.at(b, p) > probs_t.at(b, action)) action = p;
-        }
-      }
-
-      decision.actions[i] = action;
-      decision.log_probs[i] = logp_t.at(b, action);
-      decision.values[i] = val_t.at(b, 0);
-
-      if (buffer != nullptr) {
-        rl::Sample sample;
-        if (ws != nullptr) {
-          const double* obs_row =
-              gslots[m][0]->data() + b * actor.input_dim();
-          const double* vobs_row =
-              gslots[m][3]->data() + b * ctx.critic_input_dim;
-          sample.obs.assign(obs_row, obs_row + actor.input_dim());
-          sample.critic_obs.assign(vobs_row,
-                                   vobs_row + ctx.critic_input_dim);
-        } else {
-          sample.obs = a_inputs[i];
-          sample.critic_obs = v_inputs[i];
-        }
-        sample.h_actor = states[i].h_a;
-        sample.c_actor = states[i].c_a;
-        sample.h_critic = states[i].h_v;
-        sample.c_critic = states[i].c_v;
-        sample.action = action;
-        sample.phase_count = num_phases;
-        sample.log_prob = decision.log_probs[i];
-        sample.value = decision.values[i];
-        buffer->add(i, std::move(sample));
-      }
-
-      // Advance recurrent state and regularize the outgoing message:
-      // m_hat = Logistic(N(m, sigma)); noiseless at evaluation time.
-      // assign() reuses each state vector's capacity — no allocation after
-      // the first step of an episode.
-      states[i].h_a.assign(ha_t.data() + b * hidden, ha_t.data() + (b + 1) * hidden);
-      states[i].c_a.assign(ca_t.data() + b * hidden, ca_t.data() + (b + 1) * hidden);
-      states[i].h_v.assign(hv_t.data() + b * hidden, hv_t.data() + (b + 1) * hidden);
-      states[i].c_v.assign(cv_t.data() + b * hidden, cv_t.data() + (b + 1) * hidden);
-      for (std::size_t k = 0; k < ctx.config->msg_dim; ++k) {
-        const double raw = msg_t.at(b, k);
-        const double noisy =
-            explore ? ctx.rng->normal(raw, ctx.config->msg_sigma) : raw;
-        states[i].msg_out[k] = nn::logistic(noisy, tier);
-      }
-    }
-  }
-  ctx.last_messages->resize(n);
-  for (std::size_t i = 0; i < n; ++i) (*ctx.last_messages)[i] = states[i].msg_out;
-  return decision;
-}
-
-env::EpisodeStats run_rollout_episode(RolloutContext& ctx, std::uint64_t seed,
-                                      bool train_mode, rl::RolloutBuffer* buffer) {
-  env::TscEnv& env = *ctx.env;
-  assert(!train_mode || buffer != nullptr);
-  env.reset(seed);
-  std::vector<AgentState> states;
-  reset_agent_states(ctx, states);
-  rl::RolloutBuffer* buffer_ptr = train_mode ? buffer : nullptr;
-
-  Rng eval_rng(seed ^ env::kEvalSampleSalt);
-  Rng* sample_rng =
-      (!train_mode && !ctx.config->greedy_eval) ? &eval_rng : nullptr;
-
-  double reward_sum = 0.0;
-  std::size_t reward_count = 0;
-  while (!env.done()) {
-    StepDecision decision =
-        decide_step(ctx, states, train_mode, buffer_ptr, sample_rng);
-    const auto rewards = env.step(decision.actions);
-    for (std::size_t i = 0; i < rewards.size(); ++i) {
-      reward_sum += rewards[i];
-      ++reward_count;
-    }
-    if (buffer_ptr != nullptr) {
-      for (std::size_t i = 0; i < rewards.size(); ++i)
-        buffer_ptr->last(i).reward = rewards[i];
-    }
-  }
-
-  if (train_mode) {
-    // Bootstrap V(s_T) per agent (Algorithm 1 line 24).
-    StepDecision boot = decide_step(ctx, states, /*explore=*/false, nullptr);
-    for (std::size_t i = 0; i < env.num_agents(); ++i)
-      buffer->finish_agent(i, boot.values[i], ctx.config->ppo.gamma,
-                           ctx.config->ppo.lambda);
-  }
-
-  env::EpisodeStats stats;
-  stats.avg_wait = env.episode_avg_wait();
-  stats.travel_time = env.average_travel_time();
-  stats.delay = env.average_delay();
-  stats.mean_reward =
-      reward_count ? reward_sum / static_cast<double>(reward_count) : 0.0;
-  stats.vehicles_finished = env.simulator().vehicles_finished();
-  stats.vehicles_spawned = env.simulator().vehicles_spawned();
-  return stats;
 }
 
 }  // namespace tsc::core

@@ -1,24 +1,18 @@
-// Episode-rollout engine shared by the serial trainer path and the parallel
-// rollout workers.
+// PairUpLight configuration and the pairing rule of the decentralized
+// execution (Algorithm 1): which upstream neighbor each agent listens to.
 //
-// Everything one episode touches is passed through RolloutContext, so the
-// identical code drives both (a) the trainer's own environment and networks
-// (the num_envs = 1 serial path, bit-identical to the historical trainer)
-// and (b) a worker's environment replica plus frozen network copies on a
-// thread-pool thread. Nothing in here uses global or trainer state.
+// Every PairUpLight decision - training rollouts, evaluation, deployment
+// control - runs through one engine, core/fleet_engine.hpp. This header
+// holds what that engine, the trainer (core/trainer.hpp) and the PPO
+// update (core/update_engine.hpp) share: PairUpConfig and pick_partner.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
-#include "src/core/actor.hpp"
-#include "src/core/critic.hpp"
-#include "src/env/controller.hpp"
 #include "src/env/env.hpp"
-#include "src/nn/inference.hpp"
-#include "src/nn/tape.hpp"
+#include "src/nn/kernels.hpp"
 #include "src/rl/ppo.hpp"
-#include "src/rl/rollout.hpp"
 #include "src/util/rng.hpp"
 
 namespace tsc::core {
@@ -32,29 +26,11 @@ enum class PairingStrategy {
   kFixedUpstream,          ///< first upstream neighbor, never re-paired
 };
 
-/// How each PPO minibatch's forward/backward work is laid out across the
-/// update shards (core/update_engine.hpp has the full determinism argument).
-enum class UpdateMode {
-  /// Single batched pass on the calling thread, regardless of
-  /// num_update_shards: the historical golden-tested update.
-  kSerial,
-  /// One single-row tape per sample, sharded across workers; per-sample
-  /// gradient slots are folded in global sample order, so weights are
-  /// BIT-IDENTICAL to kSerial for every shard count.
-  kPerSampleShards,
-  /// One batched forward/backward per worker over its contiguous minibatch
-  /// slice; per-shard gradient slots are folded in shard order. Each weight
-  /// gradient's row fold is re-associated at shard boundaries, so weights
-  /// are tolerance-bounded against kSerial, not bit-identical — but every
-  /// Linear/LSTM op runs at rows = shard size instead of rows = 1.
-  kBatchedShards,
-};
-
-/// Which backward implementation the PPO update runs. Orthogonal to
-/// UpdateMode: every shard layout supports both paths, and the two produce
-/// BIT-IDENTICAL losses, gradients, and weight trajectories (the fused
-/// kernels replay the tape's FP accumulation orders — nn/backward.hpp has
-/// the contract, tests/test_backward_path.cpp the pins).
+/// Which backward implementation the PPO update runs. The serial and the
+/// sharded update support both, and the two produce BIT-IDENTICAL losses,
+/// gradients, and weight trajectories (the fused kernels replay the tape's
+/// FP accumulation orders — nn/backward.hpp has the contract,
+/// tests/test_backward_path.cpp the pins).
 enum class UpdatePath {
   /// Autodiff tape (nn/tape.hpp): per-minibatch graph construction, node
   /// allocation, and closure dispatch. The oracle the fused path is pinned
@@ -85,153 +61,56 @@ struct PairUpConfig {
   /// One shared actor/critic for all agents (homogeneous grids) or one per
   /// agent (heterogeneous networks, paper section VI-D).
   bool parameter_sharing = true;
-  /// Parallel rollout collection: number of environment replicas collecting
-  /// episodes concurrently per training step. 1 = the exact historical
-  /// serial path (no threads, bit-identical trajectories); K > 1 collects K
-  /// full episodes per PPO update on K worker threads. Results are
-  /// deterministic for a fixed K but differ across K (different episode
-  /// seeds and batch composition).
+  /// Rollout collection width: number of environment replicas whose
+  /// episodes are collected per training step. 1 = the trainer's own
+  /// environment and exploration stream (the historical serial trajectory);
+  /// K > 1 steps K replicas in lockstep through the fleet engine and merges
+  /// their K episodes into one PPO batch. Results are deterministic for a
+  /// fixed K but differ across K (different episode seeds and batch
+  /// composition).
   std::size_t num_envs = 1;
   /// Worker-count-invariant seeding: derive each collected episode's env
   /// seed from the GLOBAL episode index (seed + round * num_envs + slot)
   /// instead of the round's seeder stream, so the sequence of env seeds —
   /// and hence the traffic each policy update sees — is identical for every
   /// num_envs (training curves stay comparable when scaling workers).
-  /// Exploration streams for parallel workers derive from the env seed.
+  /// Exploration streams of the replicas derive from the env seed.
   /// false = the historical slot-dependent seeder (bit-identical legacy).
   /// With num_envs = 1 both modes use seed + round, so the serial golden
   /// path is unchanged either way.
   bool invariant_seeding = false;
   /// Parallel PPO update: number of shards each minibatch's
   /// forward/backward is split across. 1 = the exact historical serial
-  /// update (single batched pass, no threads); K > 1 splits the work over K
-  /// worker threads on the frozen weights and reduces the gradient slots in
-  /// a fixed order before the single clip + Adam step. Under
-  /// kPerSampleShards gradients are bit-identical for every value,
-  /// including 1, so — unlike num_envs — training curves can be compared
-  /// across shard counts (see core/update_engine.hpp for the argument and
-  /// its golden tests).
+  /// update (single batched pass, no threads); K > 1 runs one batched pass
+  /// per shard on K worker threads against the frozen weights and folds the
+  /// per-shard gradients in shard order before the single clip + Adam step.
+  /// The fold re-associates each weight gradient's row sum at shard
+  /// boundaries, so sharded weights track the serial run within a pinned
+  /// tolerance rather than bit for bit, and results depend on K
+  /// (core/update_engine.hpp, tests/test_update_modes.cpp).
   std::size_t num_update_shards = 1;
-  /// Work layout of the sharded update (only consulted when
-  /// num_update_shards > 1; a single shard always runs kSerial).
-  /// kPerSampleShards keeps the bit-identical guarantee above;
-  /// kBatchedShards (the default) runs one batched matmul per worker —
-  /// weights then track the serial run within a pinned tolerance instead of
-  /// exactly (tests/test_update_modes.cpp); select kPerSampleShards to keep
-  /// the bit-identical guarantee at the cost of rows = 1 matmuls.
-  UpdateMode update_mode = UpdateMode::kBatchedShards;
   /// Backward implementation of the PPO update (env: PAIRUP_UPDATE_PATH =
   /// tape|fused). kFused (default) runs the tape-free analytic backward —
-  /// bit-identical to the tape for every update_mode and shard count, so
-  /// all goldens exercise it; kTape keeps the autodiff tape (the oracle,
+  /// bit-identical to the tape for every shard count, so all goldens
+  /// exercise it; kTape keeps the autodiff tape (the oracle,
   /// for A-B comparison and the bitwise pins).
   UpdatePath update_path = UpdatePath::kFused;
-  /// Rollout/evaluation forwards run on the tape-free inference path
-  /// (nn/inference.hpp): preallocated workspace buffers, no autodiff
-  /// bookkeeping, bit-identical actions/logits/messages/values
-  /// (tests/test_inference_path.cpp). Set false to force every forward
-  /// through the tape (debug / A-B comparison).
-  bool inference_path = true;
-  /// Fleet-batched rollout collection (core/fleet_engine.hpp): step all
-  /// num_envs replicas in lockstep on the calling thread and run every
-  /// layer forward as one (num_envs * num_agents)-row GEMM per model
-  /// bucket, with LSTM h/c state resident in fleet-ordered slabs.
-  /// Trajectories, merged buffers, stats, and trained weights are
-  /// BIT-IDENTICAL to the per-agent path at the same num_envs (fleet
-  /// consumes each env's RNG streams in the per-agent order; the batched
-  /// GEMM kernel is bit-identical — tests/test_inference_path.cpp pins
-  /// both). false (default) keeps the per-agent path as the oracle; the
-  /// fleet path wins on few hardware threads, where env replicas cannot
-  /// overlap anyway. Requires inference_path (the fleet engine has no tape
-  /// fallback).
-  bool fleet_batched = false;
-  /// Math-kernel tier for the tape-free inference path (nn/kernels.hpp).
+  /// Math-kernel tier of the rollout/evaluation forwards (nn/kernels.hpp).
   /// kReference (default) keeps the bit-exact legacy kernels everywhere.
   /// kFast runs rollout collection and evaluation forwards through the
   /// SIMD/FMA kernels — tolerance-bounded against reference (documented
   /// error budgets in nn/kernels.hpp; divergence contract in the README
   /// determinism matrix), NOT bit-identical, so training trajectories
-  /// diverge the way the `batched` update mode does. The PPO update itself
-  /// (tape forward/backward) always runs reference-tier kernels regardless
-  /// of this knob, as does the tape fallback when inference_path = false.
+  /// diverge the way sharded updates do. The PPO update itself always runs
+  /// reference-tier kernels regardless of this knob.
   nn::KernelTier kernel_tier = nn::KernelTier::kReference;
   std::uint64_t seed = 1;
 };
 
-/// Per-agent recurrent + message runtime state.
-struct AgentState {
-  std::vector<double> h_a, c_a;      ///< actor LSTM state
-  std::vector<double> h_v, c_v;      ///< critic LSTM state
-  std::vector<double> msg_out;       ///< last regularized outgoing message
-};
-
-/// One decision for every agent.
-struct StepDecision {
-  std::vector<std::size_t> actions;
-  std::vector<double> log_probs;
-  std::vector<double> values;
-};
-
-/// The mutable collaborators of one episode. All pointers are non-owning;
-/// none of them may be shared with a concurrently running context (the Rng
-/// in particular - see util/rng.hpp).
-struct RolloutContext {
-  env::TscEnv* env = nullptr;
-  const PairUpConfig* config = nullptr;
-  std::vector<CoordinatedActor*> actors;      ///< one, or one per agent
-  std::vector<CentralizedCritic*> critics;
-  std::size_t hop1_slots = 0;
-  std::size_t hop2_slots = 0;
-  std::size_t critic_input_dim = 0;
-  Rng* rng = nullptr;           ///< exploration stream (training noise)
-  double epsilon = 0.0;         ///< epsilon-greedy value for this episode
-  nn::Tape* tape = nullptr;     ///< reusable scratch tape (reset per forward)
-  /// Tape-free inference workspace; when non-null (and the config enables
-  /// it) decide_step runs forward_inference instead of the tape forward.
-  /// Must not be shared with a concurrently running context.
-  nn::InferenceWorkspace* workspace = nullptr;
-  /// Outputs recorded at the last decision (protocol inspection).
-  std::vector<std::vector<double>>* last_messages = nullptr;
-  std::vector<std::size_t>* last_partners = nullptr;
-
-  std::size_t model_of(std::size_t agent) const {
-    return config->parameter_sharing ? 0 : agent;
-  }
-};
-
-/// Zero-initializes one AgentState per environment agent.
-void reset_agent_states(const RolloutContext& ctx, std::vector<AgentState>& states);
-
-/// Communication partner of `agent` under the configured strategy.
-std::size_t pick_partner(RolloutContext& ctx, std::size_t agent);
-
-/// Context-free overload shared with the fleet engine: same branches and the
-/// same `rng` consumption (one uniform_int draw exactly when the strategy is
-/// kRandomNeighbor and the agent has upstream neighbors).
+/// Communication partner of `agent` under config.pairing. Consumes `rng`
+/// (one uniform_int draw) exactly when the strategy is kRandomNeighbor and
+/// the agent has upstream neighbors; `rng` may be null otherwise.
 std::size_t pick_partner(const env::TscEnv& env, const PairUpConfig& config,
                          Rng* rng, std::size_t agent);
-
-/// One decision for every agent; fills per-agent outputs. When `explore` is
-/// set, actions follow the configured exploration rule and messages get
-/// regularizer noise; otherwise greedy + noiseless. `sample_rng`: when
-/// non-null and not exploring, actions are sampled from the policy with
-/// this stream (stochastic evaluation); when null, non-exploring decisions
-/// take the argmax.
-StepDecision decide_step(RolloutContext& ctx, std::vector<AgentState>& states,
-                         bool explore, rl::RolloutBuffer* buffer,
-                         Rng* sample_rng = nullptr);
-
-/// One full episode on ctx.env (reset with `seed`). In train mode the
-/// rollout is recorded into `buffer` (required non-null), the terminal
-/// value is bootstrapped, and GAE is run per agent; in eval mode `buffer`
-/// is ignored and actions are greedy/sampled per config.greedy_eval.
-env::EpisodeStats run_rollout_episode(RolloutContext& ctx, std::uint64_t seed,
-                                      bool train_mode, rl::RolloutBuffer* buffer);
-
-namespace detail {
-/// Packs per-agent vectors into a [rows.size(), width] tensor.
-nn::Tensor pack_rows(const std::vector<std::vector<double>>& rows, std::size_t width);
-std::vector<double> extract_row(const nn::Tensor& t, std::size_t r);
-}  // namespace detail
 
 }  // namespace tsc::core

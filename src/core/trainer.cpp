@@ -9,14 +9,11 @@
 #include <thread>
 
 #include "src/nn/serialize.hpp"
+#include "src/rl/parallel_rollout.hpp"
 #include "src/util/fs.hpp"
 #include "src/util/log.hpp"
 
 namespace tsc::core {
-
-using tsc::nn::Tape;
-using tsc::nn::Tensor;
-using tsc::nn::Var;
 
 namespace {
 
@@ -71,8 +68,6 @@ void load_trainer_state(const std::string& path, std::size_t& episode,
 
 }  // namespace
 
-using detail::pack_rows;
-
 PairUpLightTrainer::PairUpLightTrainer(env::TscEnv* env, PairUpConfig config)
     : env_(env), config_(config), rng_(config.seed), episode_seed_(config.seed * 7919) {
   const std::size_t n = env_->num_agents();
@@ -100,113 +95,32 @@ PairUpLightTrainer::PairUpLightTrainer(env::TscEnv* env, PairUpConfig config)
     optims_.push_back(std::make_unique<nn::Adam>(std::move(params), adam_config));
   }
 
-  if (config_.fleet_batched) {
-    if (!config_.inference_path)
-      throw std::invalid_argument(
-          "PairUpConfig: fleet_batched requires inference_path (the fleet "
-          "engine has no tape fallback)");
-    // The fleet engine steps every replica on the calling thread against
-    // the LIVE models, so it needs neither frozen copies nor weight sync;
-    // replicas beyond the trainer's own environment are cloned with the
-    // same seeds the threaded collector's workers would get.
-    for (std::size_t w = 0; config_.num_envs > 1 && w < config_.num_envs; ++w)
-      fleet_envs_.push_back(env_->clone(config_.seed + w));
-    std::vector<CoordinatedActor*> fleet_actors;
-    std::vector<CentralizedCritic*> fleet_critics;
-    for (auto& a : actors_) fleet_actors.push_back(a.get());
-    for (auto& c : critics_) fleet_critics.push_back(c.get());
-    fleet_ = std::make_unique<FleetRolloutEngine>(
-        &config_, std::move(fleet_actors), std::move(fleet_critics),
-        hop1_slots_, hop2_slots_, critic_input_dim_);
-  }
+  // With num_envs = K > 1 the fleet steps K clones of the environment,
+  // seeded per slot, against the LIVE models on this thread.
+  for (std::size_t w = 0; config_.num_envs > 1 && w < config_.num_envs; ++w)
+    fleet_envs_.push_back(env_->clone(config_.seed + w));
+  fleet_ = make_engine();
 
-  if (config_.num_envs > 1 && !config_.fleet_batched) {
-    // Worker networks exist only as copy targets: their weights are synced
-    // from the live models before every collection round, so the init
-    // stream here is a throwaway and must NOT touch rng_ (num_envs must
-    // not perturb the serial training stream).
-    Rng init_rng(config_.seed ^ 0x9E3779B97F4A7C15ULL);
-    std::vector<std::unique_ptr<RolloutWorker>> workers;
-    workers.reserve(config_.num_envs);
-    for (std::size_t w = 0; w < config_.num_envs; ++w) {
-      auto worker = std::make_unique<RolloutWorker>();
-      worker->env = env_->clone(config_.seed + w);
-      for (std::size_t m = 0; m < num_models; ++m) {
-        worker->actors.push_back(std::make_unique<CoordinatedActor>(
-            env_->obs_dim(), config_.msg_dim, config_.hidden, max_phases, init_rng));
-        worker->critics.push_back(std::make_unique<CentralizedCritic>(
-            critic_input_dim_, config_.hidden, init_rng));
-      }
-      workers.push_back(std::move(worker));
-    }
-    collector_ = std::make_unique<rl::ParallelRolloutCollector<RolloutWorker>>(
-        std::move(workers));
-  }
-
-  if (config_.num_update_shards > 1 && config_.update_mode != UpdateMode::kSerial) {
-    // Oversubscription guard: shards beyond the hardware thread count only
-    // add contention (measured 0.23-0.27x serial throughput for per-sample
-    // layouts). kPerSampleShards is bit-identical for EVERY shard count, so
-    // clamping it is result-invariant; kBatchedShards results depend on the
-    // shard count, so it gets a warning but keeps the requested value.
-    std::size_t effective_shards = config_.num_update_shards;
+  if (config_.num_update_shards > 1) {
     const std::size_t hw =
         std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    if (effective_shards > hw) {
-      if (config_.update_mode == UpdateMode::kPerSampleShards) {
-        const std::size_t clamped = std::max<std::size_t>(2, hw);
-        log_warn("num_update_shards=", config_.num_update_shards,
-                 " exceeds hardware_concurrency=", hw, "; clamping to ",
-                 clamped, " (per-sample gradients are bit-identical for "
-                 "every shard count, so results are unchanged)");
-        effective_shards = clamped;
-      } else {
-        log_warn("num_update_shards=", config_.num_update_shards,
-                 " exceeds hardware_concurrency=", hw, "; batched-shard "
-                 "results depend on the shard count, so it is not clamped — "
-                 "expect oversubscribed, slower updates");
-      }
-    }
-    updater_ = std::make_unique<ParallelUpdateEngine>(effective_shards,
-                                                      config_.update_mode);
-  }
-  if (config_.num_update_shards > 1 &&
-      config_.update_mode == UpdateMode::kPerSampleShards &&
-      std::thread::hardware_concurrency() == 1) {
-    log_warn("update_mode=kPerSampleShards with a single hardware thread: "
-             "the per-sample layout pays rows=1 matmuls without any thread "
-             "overlap; prefer kBatchedShards (the default) or num_update_shards=1");
+    if (config_.num_update_shards > hw)
+      log_warn("num_update_shards=", config_.num_update_shards,
+               " exceeds hardware_concurrency=", hw, "; sharded results depend "
+               "on the shard count, so it is not clamped — expect "
+               "oversubscribed, slower updates");
+    updater_ = std::make_unique<ParallelUpdateEngine>(config_.num_update_shards);
   }
 }
 
-RolloutContext PairUpLightTrainer::serial_context() {
-  RolloutContext ctx;
-  ctx.env = env_;
-  ctx.config = &config_;
-  for (auto& a : actors_) ctx.actors.push_back(a.get());
-  for (auto& c : critics_) ctx.critics.push_back(c.get());
-  ctx.hop1_slots = hop1_slots_;
-  ctx.hop2_slots = hop2_slots_;
-  ctx.critic_input_dim = critic_input_dim_;
-  ctx.rng = &rng_;
-  ctx.epsilon = current_epsilon();
-  ctx.tape = &scratch_tape_;
-  ctx.workspace = &workspace_;
-  ctx.last_messages = &last_messages_;
-  ctx.last_partners = &last_partners_;
-  return ctx;
-}
-
-void PairUpLightTrainer::reset_states(std::vector<AgentState>& states) {
-  RolloutContext ctx = serial_context();
-  reset_agent_states(ctx, states);
-}
-
-StepDecision PairUpLightTrainer::decide(std::vector<AgentState>& states,
-                                        bool explore, rl::RolloutBuffer* buffer,
-                                        Rng* sample_rng) {
-  RolloutContext ctx = serial_context();
-  return decide_step(ctx, states, explore, buffer, sample_rng);
+std::unique_ptr<FleetRolloutEngine> PairUpLightTrainer::make_engine() {
+  std::vector<CoordinatedActor*> actors;
+  std::vector<CentralizedCritic*> critics;
+  for (auto& a : actors_) actors.push_back(a.get());
+  for (auto& c : critics_) critics.push_back(c.get());
+  return std::make_unique<FleetRolloutEngine>(
+      &config_, std::move(actors), std::move(critics), hop1_slots_,
+      hop2_slots_, critic_input_dim_);
 }
 
 double PairUpLightTrainer::current_epsilon() const {
@@ -238,150 +152,37 @@ void PairUpLightTrainer::load_checkpoint(const std::string& prefix) {
 PairUpLightTrainer::CollectResult PairUpLightTrainer::collect_rollouts(
     std::uint64_t base_seed) {
   CollectResult result;
-
-  if (config_.fleet_batched) return collect_rollouts_fleet(base_seed);
-
-  if (config_.num_envs <= 1) {
-    // Serial path: the engine on the trainer's own env/networks/rng.
-    // Identical RNG consumption order to the historical single-env trainer.
-    // (base_seed = seed + round, which is also what invariant_seeding
-    // prescribes for one worker, so the flag is a no-op here.)
-    last_episode_seeds_.assign(1, base_seed);
-    result.buffer = rl::RolloutBuffer(env_->num_agents());
-    RolloutContext ctx = serial_context();
-    result.stats = run_rollout_episode(ctx, base_seed, /*train_mode=*/true,
-                                       &result.buffer);
-    result.env_steps = env_->steps_taken();
-    return result;
-  }
-
-  // Parallel path: freeze the current policy into every worker, then run
-  // one full episode per worker on the pool. Weight sync happens on this
-  // thread, so workers only ever read their own copies.
-  const std::size_t k = collector_->num_workers();
-  for (std::size_t w = 0; w < k; ++w) {
-    RolloutWorker& worker = collector_->worker(w);
-    for (std::size_t m = 0; m < actors_.size(); ++m) {
-      worker.actors[m]->copy_weights_from(*actors_[m]);
-      worker.critics[m]->copy_weights_from(*critics_[m]);
-    }
-  }
-
-  struct WorkerResult {
-    rl::RolloutBuffer buffer{0};
-    env::EpisodeStats stats;
-    std::size_t env_steps = 0;
-  };
-  const double epsilon = current_epsilon();
-  const auto run_worker =
-      [this, epsilon](RolloutWorker& worker, std::uint64_t env_seed, Rng rng) {
-        RolloutContext ctx;
-        ctx.env = worker.env.get();
-        ctx.config = &config_;
-        for (auto& a : worker.actors) ctx.actors.push_back(a.get());
-        for (auto& c : worker.critics) ctx.critics.push_back(c.get());
-        ctx.hop1_slots = hop1_slots_;
-        ctx.hop2_slots = hop2_slots_;
-        ctx.critic_input_dim = critic_input_dim_;
-        ctx.rng = &rng;
-        ctx.epsilon = epsilon;
-        ctx.tape = &worker.tape;
-        ctx.workspace = &worker.workspace;
-        ctx.last_messages = &worker.last_messages;
-        ctx.last_partners = &worker.last_partners;
-
-        WorkerResult r;
-        r.buffer = rl::RolloutBuffer(worker.env->num_agents());
-        r.stats = run_rollout_episode(ctx, env_seed, /*train_mode=*/true,
-                                      &r.buffer);
-        r.env_steps = worker.env->steps_taken();
-        return r;
-      };
-
-  std::vector<WorkerResult> results;
-  if (config_.invariant_seeding) {
-    // Episode seeds from the GLOBAL episode index: round r, slot w runs
-    // episode r*k + w with env seed episode_seed_ + r*k + w — the same
-    // sequence any other num_envs (including 1) walks through.
-    last_episode_seeds_.resize(k);
-    for (std::size_t w = 0; w < k; ++w)
-      last_episode_seeds_[w] = episode_seed_ + episode_ * k + w;
-    results = collector_->collect_seeded(last_episode_seeds_, run_worker);
-  } else {
-    results = collector_->collect(base_seed, run_worker, &last_episode_seeds_);
-  }
-
-  std::vector<rl::RolloutBuffer> parts;
-  parts.reserve(results.size());
-  env::EpisodeStats& stats = result.stats;
-  for (WorkerResult& r : results) {
-    parts.push_back(std::move(r.buffer));
-    stats.avg_wait += r.stats.avg_wait;
-    stats.travel_time += r.stats.travel_time;
-    stats.delay += r.stats.delay;
-    stats.mean_reward += r.stats.mean_reward;
-    stats.vehicles_finished += r.stats.vehicles_finished;
-    stats.vehicles_spawned += r.stats.vehicles_spawned;
-    result.env_steps += r.env_steps;
-  }
-  const double inv_k = 1.0 / static_cast<double>(results.size());
-  stats.avg_wait *= inv_k;
-  stats.travel_time *= inv_k;
-  stats.delay *= inv_k;
-  stats.mean_reward *= inv_k;
-  result.buffer = rl::merge_rollouts(std::move(parts));
-
-  // Protocol-inspection views follow worker 0's episode.
-  last_messages_ = collector_->worker(0).last_messages;
-  last_partners_ = collector_->worker(0).last_partners;
-  return result;
-}
-
-PairUpLightTrainer::CollectResult PairUpLightTrainer::collect_rollouts_fleet(
-    std::uint64_t base_seed) {
-  CollectResult result;
-  const double epsilon = current_epsilon();
-
-  if (config_.num_envs <= 1) {
-    // Fleet of one: the trainer's own environment and exploration stream,
-    // so trajectories AND the post-episode state of rng_ are bit-identical
-    // to the serial per-agent path.
-    last_episode_seeds_.assign(1, base_seed);
-    result.buffer = rl::RolloutBuffer(env_->num_agents());
-    std::vector<FleetSlot> slots(1);
-    slots[0] = FleetSlot{env_, base_seed, &rng_, &result.buffer};
-    result.stats = fleet_->run_episodes(slots, /*train_mode=*/true, epsilon)[0];
-    result.env_steps = env_->steps_taken();
-    last_messages_ = fleet_->last_messages(0);
-    last_partners_ = fleet_->last_partners(0);
-    return result;
-  }
-
-  // Same seed/stream derivations as the threaded collector, so fleet and
-  // threaded collection see identical episodes for the same round.
-  const std::size_t k = config_.num_envs;
+  const std::size_t k = std::max<std::size_t>(1, config_.num_envs);
   std::vector<Rng> rngs;
-  if (config_.invariant_seeding) {
-    last_episode_seeds_.resize(k);
-    for (std::size_t w = 0; w < k; ++w)
-      last_episode_seeds_[w] = episode_seed_ + episode_ * k + w;
-    rl::derive_seeded_streams(last_episode_seeds_, rngs);
-  } else {
-    rl::derive_round_streams(base_seed, k, last_episode_seeds_, rngs);
-  }
-
-  std::vector<rl::RolloutBuffer> parts;
-  parts.reserve(k);
+  std::vector<rl::RolloutBuffer> parts(k, rl::RolloutBuffer(env_->num_agents()));
   std::vector<FleetSlot> slots(k);
-  for (std::size_t w = 0; w < k; ++w)
-    parts.push_back(rl::RolloutBuffer(env_->num_agents()));
-  for (std::size_t w = 0; w < k; ++w)
-    slots[w] = FleetSlot{fleet_envs_[w].get(), last_episode_seeds_[w], &rngs[w],
-                         &parts[w]};
+  if (k == 1) {
+    // The trainer's own environment and exploration stream: the historical
+    // single-env trajectory, including how far rng_ advances. (base_seed =
+    // seed + round is also what invariant_seeding prescribes for one
+    // replica, so the flag is a no-op here.)
+    last_episode_seeds_.assign(1, base_seed);
+    slots[0] = FleetSlot{env_, base_seed, &rng_, &parts[0]};
+  } else {
+    if (config_.invariant_seeding) {
+      // Episode seeds from the GLOBAL episode index: round r, slot w runs
+      // episode r*k + w with env seed episode_seed_ + r*k + w — the same
+      // sequence any other num_envs (including 1) walks through.
+      last_episode_seeds_.resize(k);
+      for (std::size_t w = 0; w < k; ++w)
+        last_episode_seeds_[w] = episode_seed_ + episode_ * k + w;
+      rl::derive_seeded_streams(last_episode_seeds_, rngs);
+    } else {
+      rl::derive_round_streams(base_seed, k, last_episode_seeds_, rngs);
+    }
+    for (std::size_t w = 0; w < k; ++w)
+      slots[w] = FleetSlot{fleet_envs_[w].get(), last_episode_seeds_[w],
+                           &rngs[w], &parts[w]};
+  }
   const std::vector<env::EpisodeStats> episode_stats =
-      fleet_->run_episodes(slots, /*train_mode=*/true, epsilon);
+      fleet_->run_episodes(slots, /*train_mode=*/true, current_epsilon());
 
-  // Fold in slot order, exactly like the threaded path's worker-order fold.
+  // Fold in slot order: quality metrics are averaged, vehicle counts summed.
   env::EpisodeStats& stats = result.stats;
   for (std::size_t w = 0; w < k; ++w) {
     const env::EpisodeStats& s = episode_stats[w];
@@ -391,14 +192,15 @@ PairUpLightTrainer::CollectResult PairUpLightTrainer::collect_rollouts_fleet(
     stats.mean_reward += s.mean_reward;
     stats.vehicles_finished += s.vehicles_finished;
     stats.vehicles_spawned += s.vehicles_spawned;
-    result.env_steps += fleet_envs_[w]->steps_taken();
+    result.env_steps += slots[w].env->steps_taken();
   }
   const double inv_k = 1.0 / static_cast<double>(k);
   stats.avg_wait *= inv_k;
   stats.travel_time *= inv_k;
   stats.delay *= inv_k;
   stats.mean_reward *= inv_k;
-  result.buffer = rl::merge_rollouts(std::move(parts));
+  result.buffer =
+      k == 1 ? std::move(parts[0]) : rl::merge_rollouts(std::move(parts));
 
   last_messages_ = fleet_->last_messages(0);
   last_partners_ = fleet_->last_partners(0);
@@ -413,8 +215,14 @@ env::EpisodeStats PairUpLightTrainer::train_episode() {
 }
 
 env::EpisodeStats PairUpLightTrainer::eval_episode(std::uint64_t seed) {
-  RolloutContext ctx = serial_context();
-  return run_rollout_episode(ctx, seed, /*train_mode=*/false, nullptr);
+  // rng_ stays bound: kRandomNeighbor pairing draws from it at evaluation
+  // time too.
+  std::vector<FleetSlot> slots{FleetSlot{env_, seed, &rng_, nullptr}};
+  const env::EpisodeStats stats =
+      fleet_->run_episodes(slots, /*train_mode=*/false, /*epsilon=*/0.0)[0];
+  last_messages_ = fleet_->last_messages(0);
+  last_partners_ = fleet_->last_partners(0);
+  return stats;
 }
 
 void PairUpLightTrainer::update(rl::RolloutBuffer& buffer) {
@@ -474,22 +282,29 @@ void PairUpLightTrainer::update_model(std::size_t model,
 }
 
 // ---------------------------------------------------------------------------
-// Greedy inference controller.
+// Deployment controller: a one-slot fleet engine of its own over the live
+// models, so its recurrent state never collides with training or
+// evaluation runs on the trainer's engine.
 
 class PairUpController : public env::Controller {
  public:
-  explicit PairUpController(PairUpLightTrainer* trainer) : trainer_(trainer) {}
+  explicit PairUpController(PairUpLightTrainer* trainer)
+      : trainer_(trainer), engine_(trainer->make_engine()) {}
 
   void begin_episode(const env::TscEnv& env) override {
-    trainer_->reset_states(states_);
-    rng_ = Rng(env.episode_seed() ^ env::kEvalSampleSalt);
+    // The trainer's environment and rng_ (kRandomNeighbor partners), like
+    // eval_episode; the sample stream is the episode's own.
+    slots_.assign(1, FleetSlot{trainer_->env_, env.episode_seed(),
+                               &trainer_->rng_, nullptr});
+    engine_->begin(slots_, /*epsilon=*/0.0);
+    sample_rngs_.assign(1, Rng(env.episode_seed() ^ env::kEvalSampleSalt));
   }
 
   std::vector<std::size_t> act(const env::TscEnv& env) override {
     (void)env;  // the trainer references the same environment
-    Rng* sample_rng = trainer_->config().greedy_eval ? nullptr : &rng_;
-    return trainer_->decide(states_, /*explore=*/false, nullptr, sample_rng)
-        .actions;
+    engine_->decide(slots_, kSlot, /*explore=*/false, /*record=*/false,
+                    trainer_->config().greedy_eval ? nullptr : &sample_rngs_);
+    return engine_->actions(0);
   }
 
   std::string name() const override {
@@ -497,9 +312,11 @@ class PairUpController : public env::Controller {
   }
 
  private:
+  inline static const std::vector<std::size_t> kSlot{0};
   PairUpLightTrainer* trainer_;
-  std::vector<AgentState> states_;
-  Rng rng_{0};
+  std::unique_ptr<FleetRolloutEngine> engine_;
+  std::vector<FleetSlot> slots_;
+  std::vector<Rng> sample_rngs_;
 };
 
 std::unique_ptr<env::Controller> PairUpLightTrainer::make_controller() {

@@ -13,21 +13,18 @@
 // rollout are replayed as fixed inputs in the update, so minibatch samples
 // stay independent (see rl/rollout.hpp).
 //
-// Rollout collection is delegated to core/rollout_engine.hpp. With
-// config.num_envs == 1 the trainer runs the engine serially on its own
-// environment and networks (bit-identical to the historical single-env
-// trainer); with num_envs = K > 1 it owns K environment replicas plus
-// frozen network copies and collects K full episodes concurrently on a
-// thread pool before every PPO update (rl/parallel_rollout.hpp).
+// Every decision - rollout collection, evaluation, the controller - runs
+// through core/fleet_engine.hpp. With config.num_envs == 1 the trainer runs
+// a one-slot fleet on its own environment and exploration stream
+// (bit-identical to the historical single-env trainer); with num_envs = K
+// > 1 it owns K environment replicas and steps their K episodes in
+// lockstep against the live networks before every PPO update.
 //
-// The PPO update is delegated to core/update_engine.hpp the same way:
-// num_update_shards == 1 (or update_mode == kSerial) runs the historical
-// batched minibatch update on the scratch tape; K > 1 shards each minibatch
-// across K worker threads. The layout is config.update_mode:
-// kPerSampleShards reduces per-sample gradients in sample order and keeps
-// weights bit-identical to the serial update at every step;
-// kBatchedShards runs one batched pass per shard and tracks the serial
-// weights within a pinned tolerance instead (tests/test_update_modes.cpp).
+// The PPO update is delegated to core/update_engine.hpp:
+// num_update_shards == 1 runs the historical batched minibatch update;
+// K > 1 shards each minibatch across K worker threads, one batched pass
+// per shard, and tracks the serial weights within a pinned tolerance
+// (tests/test_update_modes.cpp).
 #pragma once
 
 #include <memory>
@@ -42,7 +39,6 @@
 #include "src/env/env.hpp"
 #include "src/nn/optim.hpp"
 #include "src/nn/tape.hpp"
-#include "src/rl/parallel_rollout.hpp"
 #include "src/rl/ppo.hpp"
 #include "src/rl/rollout.hpp"
 
@@ -54,7 +50,7 @@ class PairUpLightTrainer {
   PairUpLightTrainer(env::TscEnv* env, PairUpConfig config);
 
   /// The rollout phase of one training step: config.num_envs full episodes
-  /// (serial when 1, concurrent otherwise) collected with the CURRENT
+  /// (stepped in lockstep by the fleet engine) collected with the CURRENT
   /// policy weights and this step's exploration epsilon, merged into one
   /// PPO batch. `stats` averages the per-episode quality metrics and sums
   /// the vehicle counts; `env_steps` is the total environment steps taken
@@ -79,8 +75,9 @@ class PairUpLightTrainer {
   /// num_envs = K this consumes K episodes' worth of experience per call.
   env::EpisodeStats train_episode();
 
-  /// One greedy episode without learning or exploration noise (always on
-  /// the trainer's own environment, regardless of num_envs).
+  /// One evaluation episode without learning or exploration noise (always
+  /// on the trainer's own environment, regardless of num_envs): actions are
+  /// sampled from the policy, or its argmax under config.greedy_eval.
   env::EpisodeStats eval_episode(std::uint64_t seed);
 
   /// Stateful greedy controller over the trained policy (for the shared
@@ -97,7 +94,7 @@ class PairUpLightTrainer {
   /// Environment replicas collecting per training step (config.num_envs).
   std::size_t num_envs() const { return config_.num_envs; }
   /// Env seeds of the most recent collect_rollouts round, in episode order
-  /// (one entry per env worker; one on the serial path). Under
+  /// (one entry per environment replica). Under
   /// config.invariant_seeding these depend only on the global episode
   /// index, never on num_envs.
   const std::vector<std::uint64_t>& last_episode_seeds() const {
@@ -108,10 +105,12 @@ class PairUpLightTrainer {
   /// (Table IV): msg_dim 32-bit values from exactly one neighbor.
   std::size_t comm_bits_per_step() const { return config_.msg_dim * 32; }
 
-  /// Workspace backing the serial-context inference path (rollouts,
-  /// evaluation, controller). Exposed so tests can assert the zero
-  /// steady-state-allocation property via alloc_events().
-  const nn::InferenceWorkspace& inference_workspace() const { return workspace_; }
+  /// Workspace of the training fleet engine (rollouts and evaluation).
+  /// Exposed so tests can assert the zero steady-state-allocation property
+  /// via alloc_events().
+  const nn::InferenceWorkspace& inference_workspace() const {
+    return fleet_->workspace();
+  }
 
   /// Allocation events across every backward workspace of the fused update
   /// path (the serial workspace plus all shard workspaces). Like
@@ -122,17 +121,15 @@ class PairUpLightTrainer {
            (updater_ ? updater_->backward_alloc_events() : 0);
   }
 
-  /// Effective shard count of the PPO update: the constructor clamps
-  /// kPerSampleShards requests beyond the hardware thread count (the
-  /// per-sample layout is bit-identical across shard counts, so clamping
-  /// only removes oversubscription). 1 on the serial path.
+  /// Shard count of the PPO update (config.num_update_shards; 1 on the
+  /// serial path).
   std::size_t update_shards() const {
     return updater_ ? updater_->num_shards() : 1;
   }
 
-  /// Engine backing the fleet-batched collection path, or null unless
-  /// config.fleet_batched. Exposed so tests can assert the fleet extension
-  /// of the allocation contract via FleetRolloutEngine::alloc_events().
+  /// Engine behind collect_rollouts and eval_episode. Exposed so tests can
+  /// assert the fleet extension of the allocation contract via
+  /// FleetRolloutEngine::alloc_events().
   const FleetRolloutEngine* fleet_engine() const { return fleet_.get(); }
 
   /// Critic neighbor-ring padding widths (the fleet engine and tests need
@@ -142,7 +139,7 @@ class PairUpLightTrainer {
 
   /// Regularized outgoing messages (one per agent) recorded at the last
   /// decision of train_episode()/eval_episode() - for protocol inspection.
-  /// With num_envs > 1 these come from worker 0's episode.
+  /// With num_envs > 1 these come from replica 0's episode.
   const std::vector<std::vector<double>>& last_messages() const {
     return last_messages_;
   }
@@ -164,31 +161,8 @@ class PairUpLightTrainer {
  private:
   friend class PairUpController;
 
-  /// One parallel collection worker: an environment replica plus frozen
-  /// copies of every model, all touched only by the thread running its
-  /// episode (plus the weight sync on the calling thread in between).
-  struct RolloutWorker {
-    std::unique_ptr<env::TscEnv> env;
-    std::vector<std::unique_ptr<CoordinatedActor>> actors;
-    std::vector<std::unique_ptr<CentralizedCritic>> critics;
-    nn::Tape tape;
-    nn::InferenceWorkspace workspace;  ///< one per worker thread (never shared)
-    std::vector<std::vector<double>> last_messages;
-    std::vector<std::size_t> last_partners;
-  };
-
-  /// Context running the engine on the trainer's own env/networks/rng.
-  RolloutContext serial_context();
-
-  /// collect_rollouts body of the fleet-batched path (config.fleet_batched):
-  /// same seed/stream derivations and the same fold order as the threaded
-  /// collector, but all episodes run in lockstep through fleet_.
-  CollectResult collect_rollouts_fleet(std::uint64_t base_seed);
-
-  void reset_states(std::vector<AgentState>& states);
-  /// Thin wrapper over decide_step on the serial context (PairUpController).
-  StepDecision decide(std::vector<AgentState>& states, bool explore,
-                      rl::RolloutBuffer* buffer, Rng* sample_rng = nullptr);
+  /// A fleet engine over the live models (training/eval, or a controller).
+  std::unique_ptr<FleetRolloutEngine> make_engine();
 
   void update_model(std::size_t model, const std::vector<const rl::Sample*>& samples);
   double current_epsilon() const;
@@ -206,12 +180,9 @@ class PairUpLightTrainer {
   std::vector<std::vector<double>> last_messages_;
   std::vector<std::size_t> last_partners_;
   std::vector<std::uint64_t> last_episode_seeds_;
-  /// Reusable autodiff tape for serial rollouts and PPO minibatches (reset
-  /// before every forward; reuse keeps node storage warm, see nn/tape.hpp).
+  /// Reusable autodiff tape for the tape-path PPO minibatches (reset before
+  /// every forward; reuse keeps node storage warm, see nn/tape.hpp).
   nn::Tape scratch_tape_;
-  /// Preallocated buffers for the tape-free inference path on the serial
-  /// context (rollouts, evaluation, controller). Workers carry their own.
-  nn::InferenceWorkspace workspace_;
   /// Per-update packed sample rows (built once per update_model call and
   /// shared by every epoch's minibatches; capacity pinned across updates).
   PackedSampleBlock sample_block_;
@@ -219,18 +190,12 @@ class PairUpLightTrainer {
   /// (update_path == kFused, num_update_shards == 1). Shard workspaces live
   /// inside updater_.
   nn::BackwardWorkspace update_workspace_;
-  /// Built only when config.num_envs > 1 and not fleet_batched.
-  std::unique_ptr<rl::ParallelRolloutCollector<RolloutWorker>> collector_;
-  /// Fleet-batched collection (config.fleet_batched): the engine runs the
-  /// LIVE models single-threaded, so no frozen copies or weight sync; with
-  /// num_envs = K > 1 the K - 1 extra replicas live here (slot 0 beyond the
-  /// serial case) — with K = 1 the fleet runs the trainer's own env_/rng_
-  /// and stays bit-identical to the serial path including the exploration
-  /// stream advancement.
+  /// Collection engine over the LIVE models (single-threaded, so no frozen
+  /// copies or weight sync). With num_envs = K > 1 the K replicas it steps
+  /// live in fleet_envs_; with K = 1 it runs the trainer's own env_/rng_.
   std::vector<std::unique_ptr<env::TscEnv>> fleet_envs_;
   std::unique_ptr<FleetRolloutEngine> fleet_;
-  /// Built only when config.num_update_shards > 1 and update_mode is not
-  /// kSerial.
+  /// Built only when config.num_update_shards > 1.
   std::unique_ptr<ParallelUpdateEngine> updater_;
 };
 

@@ -17,9 +17,7 @@ namespace {
 // Packs minibatch sample fields straight into recycled alloc_constant()
 // nodes: no per-row vector intermediates and — after the first minibatch —
 // no allocation at all, since reset() returns each node's backing storage
-// to the tape's recycle pool (the pack_rows copies dominated the sharded
-// update's profile). Values are identical to the pack_rows path, so the
-// bitwise/tolerance pins in tests/test_update_modes.cpp are unaffected.
+// to the tape's recycle pool.
 struct PackedInputs {
   Var input, h_a, c_a;
 };
@@ -249,37 +247,6 @@ double serial_minibatch_update(UpdateContext& ctx,
   return tape.value(loss)[0];
 }
 
-double sample_loss_and_grads(nn::Tape& tape, CoordinatedActor& actor,
-                             CentralizedCritic& critic, const rl::Sample& sample,
-                             std::size_t batch, const rl::PpoConfig& ppo) {
-  tape.reset();
-  // Node creation order mirrors serial_minibatch_update exactly so grads of
-  // multi-consumer nodes accumulate their terms in the same sequence.
-  auto one_row = [&tape](const std::vector<double>& row) {
-    Var v = tape.alloc_constant(1, row.size());
-    std::copy(row.begin(), row.end(), tape.mutable_value(v).data());
-    return v;
-  };
-  Var input = one_row(sample.obs);
-  Var h_a = one_row(sample.h_actor);
-  Var c_a = one_row(sample.c_actor);
-  auto actor_out = actor.forward(tape, input, h_a, c_a, {sample.phase_count});
-  Var logp_all = tape.log_softmax_rows(actor_out.logits);
-  Var new_logp = tape.gather_cols(logp_all, {sample.action});
-  Var entropy = rl::policy_entropy_scaled(tape, actor_out.logits, batch);
-
-  Var v_input = one_row(sample.critic_obs);
-  Var h_v = one_row(sample.h_critic);
-  Var c_v = one_row(sample.c_critic);
-  auto critic_out = critic.forward(tape, v_input, h_v, c_v);
-
-  Var loss = rl::ppo_shard_loss(tape, new_logp, entropy, critic_out.value,
-                                {sample.log_prob}, {sample.advantage},
-                                {sample.ret}, batch, ppo);
-  tape.backward(loss);
-  return tape.value(loss)[0];
-}
-
 double shard_loss_and_grads(nn::Tape& tape, CoordinatedActor& actor,
                             CentralizedCritic& critic,
                             const std::vector<const rl::Sample*>& samples,
@@ -407,12 +374,8 @@ double fused_shard_loss_and_grads(nn::BackwardWorkspace& ws,
   return loss;
 }
 
-ParallelUpdateEngine::ParallelUpdateEngine(std::size_t num_shards,
-                                           UpdateMode mode)
-    : num_shards_(std::max<std::size_t>(2, num_shards)),
-      mode_(mode),
-      pool_(num_shards_) {
-  assert(mode_ != UpdateMode::kSerial);
+ParallelUpdateEngine::ParallelUpdateEngine(std::size_t num_shards)
+    : num_shards_(std::max<std::size_t>(2, num_shards)), pool_(num_shards_) {
   shard_tapes_.reserve(num_shards_);
   shard_ws_.reserve(num_shards_);
   for (std::size_t s = 0; s < num_shards_; ++s) {
@@ -428,25 +391,19 @@ std::size_t ParallelUpdateEngine::backward_alloc_events() const {
 }
 
 void ParallelUpdateEngine::ensure_buffers(
-    const std::vector<nn::Parameter*>& params, std::size_t num_slots) {
+    const std::vector<nn::Parameter*>& params) {
   bool rebuild = reduced_grads_.size() != params.size();
   for (std::size_t k = 0; !rebuild && k < params.size(); ++k)
     rebuild = !reduced_grads_[k].same_shape(params[k]->value);
-  if (rebuild) {
-    reduced_grads_.clear();
-    reduced_grads_.reserve(params.size());
-    for (const nn::Parameter* p : params)
-      reduced_grads_.push_back(Tensor::zeros_like(p->value));
-    slot_grads_.clear();
-  }
-  while (slot_grads_.size() < num_slots) {
-    std::vector<Tensor> slots;
-    slots.reserve(params.size());
-    for (const nn::Parameter* p : params)
+  if (!rebuild) return;
+  reduced_grads_.clear();
+  slot_grads_.assign(num_shards_, {});
+  for (const nn::Parameter* p : params) {
+    reduced_grads_.push_back(Tensor::zeros_like(p->value));
+    for (std::vector<Tensor>& slots : slot_grads_)
       slots.push_back(Tensor::zeros_like(p->value));
-    slot_grads_.push_back(std::move(slots));
   }
-  if (slot_losses_.size() < num_slots) slot_losses_.resize(num_slots);
+  slot_losses_.assign(num_shards_, 0.0);
 }
 
 double ParallelUpdateEngine::run_minibatch(
@@ -454,9 +411,7 @@ double ParallelUpdateEngine::run_minibatch(
     const std::vector<std::size_t>& order, std::size_t begin, std::size_t end) {
   assert(begin < end && end <= order.size());
   const std::size_t batch = end - begin;
-  const bool per_sample = mode_ == UpdateMode::kPerSampleShards;
-  const std::size_t num_slots = per_sample ? batch : num_shards_;
-  ensure_buffers(ctx.params, num_slots);
+  ensure_buffers(ctx.params);
   const bool fused = ctx.config->update_path == UpdatePath::kFused;
   const std::size_t actor_sink_count =
       fused ? ctx.actor->parameters().size() : 0;
@@ -469,97 +424,58 @@ double ParallelUpdateEngine::run_minibatch(
     const std::size_t lo = batch * shard / num_shards_;
     const std::size_t hi = batch * (shard + 1) / num_shards_;
     if (lo == hi) {
-      if (!per_sample) slot_losses_[shard] = 0.0;
+      slot_losses_[shard] = 0.0;
       continue;
     }
     futures.push_back(pool_.submit([this, &ctx, &samples, &order, begin, batch,
-                                    shard, lo, hi, per_sample, fused,
-                                    actor_sink_count]() {
-      // Fused path: gradients flow straight into the slot tensors as sinks
-      // (same slots the tape path redirects into), so the ordered fold —
-      // and hence the per-mode determinism contract — is unchanged.
-      std::vector<Tensor*> sinks(fused ? ctx.params.size() : 0);
-      auto point_sinks_at = [&](std::vector<Tensor>& slots) {
-        for (std::size_t k = 0; k < ctx.params.size(); ++k) {
-          slots[k].fill(0.0);
-          sinks[k] = &slots[k];
-        }
-      };
+                                    shard, lo, hi, fused, actor_sink_count]() {
+      std::vector<Tensor>& slots = slot_grads_[shard];
+      for (Tensor& g : slots) g.fill(0.0);
       if (fused) {
-        nn::BackwardWorkspace& ws = *shard_ws_[shard];
-        if (per_sample) {
-          for (std::size_t b = lo; b < hi; ++b) {
-            point_sinks_at(slot_grads_[b]);
-            slot_losses_[b] = fused_shard_loss_and_grads(
-                ws, *ctx.actor, *ctx.critic, samples, order, begin + b,
-                begin + b + 1, batch, *ctx.config, ctx.block, sinks.data(),
-                sinks.data() + actor_sink_count);
-          }
-        } else {
-          point_sinks_at(slot_grads_[shard]);
-          slot_losses_[shard] = fused_shard_loss_and_grads(
-              ws, *ctx.actor, *ctx.critic, samples, order, begin + lo,
-              begin + hi, batch, *ctx.config, ctx.block, sinks.data(),
-              sinks.data() + actor_sink_count);
-        }
+        // Gradients flow straight into the slot tensors as sinks (the same
+        // slots the tape path redirects into), so the ordered fold below is
+        // shared by both paths.
+        std::vector<Tensor*> sinks;
+        sinks.reserve(slots.size());
+        for (Tensor& g : slots) sinks.push_back(&g);
+        slot_losses_[shard] = fused_shard_loss_and_grads(
+            *shard_ws_[shard], *ctx.actor, *ctx.critic, samples, order,
+            begin + lo, begin + hi, batch, *ctx.config, ctx.block,
+            sinks.data(), sinks.data() + actor_sink_count);
         return;
       }
       Tape& tape = *shard_tapes_[shard];
       nn::Tape::GradRedirects redirects;
       redirects.reserve(ctx.params.size());
-      if (per_sample) {
-        for (std::size_t b = lo; b < hi; ++b) {
-          std::vector<Tensor>& slots = slot_grads_[b];
-          redirects.clear();
-          for (std::size_t k = 0; k < ctx.params.size(); ++k) {
-            slots[k].fill(0.0);
-            redirects.emplace_back(ctx.params[k], &slots[k]);
-          }
-          tape.set_grad_redirects(&redirects);
-          const rl::Sample& s = *samples[order[begin + b]];
-          slot_losses_[b] =
-              sample_loss_and_grads(tape, *ctx.actor, *ctx.critic, s, batch,
-                                    ctx.config->ppo);
-        }
-      } else {
-        std::vector<Tensor>& slots = slot_grads_[shard];
-        for (std::size_t k = 0; k < ctx.params.size(); ++k) {
-          slots[k].fill(0.0);
-          redirects.emplace_back(ctx.params[k], &slots[k]);
-        }
-        tape.set_grad_redirects(&redirects);
-        slot_losses_[shard] =
-            shard_loss_and_grads(tape, *ctx.actor, *ctx.critic, samples, order,
-                                 begin + lo, begin + hi, batch, *ctx.config,
-                                 ctx.block);
-      }
+      for (std::size_t k = 0; k < ctx.params.size(); ++k)
+        redirects.emplace_back(ctx.params[k], &slots[k]);
+      tape.set_grad_redirects(&redirects);
+      slot_losses_[shard] =
+          shard_loss_and_grads(tape, *ctx.actor, *ctx.critic, samples, order,
+                               begin + lo, begin + hi, batch, *ctx.config,
+                               ctx.block);
       tape.set_grad_redirects(nullptr);
     }));
   }
   for (auto& f : futures) f.get();  // rethrows worker exceptions
 
-  // Ordered reduce on the calling thread. Per-sample mode folds sample slots
-  // in global order 0..batch-1 — the batched update's exact accumulation
-  // sequence; batched mode folds shard slots in shard order, which fixes the
-  // result for a given shard count but re-associates the serial row fold at
-  // shard boundaries (see file comment in the header).
+  // Ordered fold on the calling thread: shard slots in shard order, which
+  // fixes the result for a given shard count but re-associates the serial
+  // row fold at shard boundaries (see the header's file comment).
   for (Tensor& g : reduced_grads_) g.fill(0.0);
-  const std::size_t fold_slots = per_sample ? batch : num_shards_;
-  for (std::size_t i = 0; i < fold_slots; ++i) {
-    if (!per_sample) {
-      const std::size_t lo = batch * i / num_shards_;
-      const std::size_t hi = batch * (i + 1) / num_shards_;
-      if (lo == hi) continue;
-    }
+  for (std::size_t shard = 0; shard < num_shards_; ++shard) {
+    if (batch * shard / num_shards_ == batch * (shard + 1) / num_shards_)
+      continue;
     for (std::size_t k = 0; k < ctx.params.size(); ++k)
-      reduced_grads_[k] += slot_grads_[i][k];
+      reduced_grads_[k] += slot_grads_[shard][k];
   }
 
   nn::clip_grad_norm(reduced_grads_, ctx.config->ppo.max_grad_norm);
   ctx.optim->step_with_grads(reduced_grads_);
 
   double loss = 0.0;
-  for (std::size_t i = 0; i < fold_slots; ++i) loss += slot_losses_[i];
+  for (std::size_t shard = 0; shard < num_shards_; ++shard)
+    loss += slot_losses_[shard];
   return loss;
 }
 

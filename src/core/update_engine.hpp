@@ -1,58 +1,43 @@
-// PPO minibatch-update engine shared by the serial trainer path and the
-// sharded parallel update (mirrors core/rollout_engine.hpp for the rollout
-// phase).
+// PPO minibatch-update engine: the serial batched update and the sharded
+// parallel update.
 //
 // Everything one minibatch update touches is passed through UpdateContext,
-// so the identical code drives both (a) the trainer's own networks on its
-// scratch tape (the num_update_shards = 1 serial path, bit-identical to the
-// historical trainer) and (b) the ParallelUpdateEngine, which splits the
-// minibatch across thread-pool workers.
+// so the identical code drives both (a) the trainer's own networks (the
+// num_update_shards = 1 serial path, bit-identical to the historical
+// trainer) and (b) the ParallelUpdateEngine, which splits the minibatch
+// across thread-pool workers.
 //
-// Determinism of the sharded path. Every cross-row reduction in this stack
-// folds sequentially over batch rows in increasing row order: the weight
-// gradient matmul_tn accumulates over rows p = 0..B-1 per output element,
-// the broadcast-bias backward sums rows r = 0..B-1, and the batch means
-// divide a row-ordered sum. All remaining ops are strictly row-wise, every
-// Parameter is consumed exactly once per forward, and rl::ppo_shard_loss
-// expresses each batch mean as sum()/B with division in the backward pass
-// (Tape::div_scalar). A single sample's graph therefore produces exactly
-// the terms the batched graph adds for that row, so computing per-sample
-// gradients on any shard layout and folding the per-sample slots in global
-// sample order 0..B-1 replays the batched fold's exact left-to-right
-// binary-add sequence: gradients — and hence weight trajectories — are
-// bit-identical for every shard count, including the batched serial path.
+// The sharded update runs ONE batched forward/backward per worker over its
+// contiguous minibatch slice, scaled as its rows/batch share of the
+// minibatch via rl::ppo_shard_loss (every batch mean is sum()/B with the
+// GLOBAL divisor B, the division applied in the backward pass by
+// Tape::div_scalar), and the calling thread folds the per-shard gradient
+// slots in shard order before the single clip_grad_norm + Adam step.
+// Workers share the live (frozen-by-barrier) weights read-only, and each
+// shard's gradients land in dedicated slot tensors, never in
+// Parameter::grad.
 //
-// Workers share the live (frozen-by-barrier) weights read-only: clip + step
-// happen on the calling thread only after every shard completes, and each
-// sample's gradients land in dedicated slot tensors via the tape's
-// grad-redirect list, never in Parameter::grad.
+// Determinism. Every cross-row reduction in this stack folds sequentially
+// over batch rows in increasing row order (the weight-gradient matmul_tn per
+// output element, the broadcast-bias backward, the batch means), so within a
+// shard the fold is exactly the serial sequence restricted to the slice.
+// The fold ACROSS shards re-associates that row sum at shard boundaries:
+// (g0+g1)+(g2+g3) instead of ((g0+g1)+g2)+g3. The result is deterministic
+// for a fixed shard count (shards are folded in index order on one thread)
+// but only tolerance-bounded against the serial fold, which is why the
+// sharded update has a pinned numerical-equivalence test
+// (tests/test_update_modes.cpp) rather than a bitwise golden.
 //
-// The batched-shard mode (UpdateMode::kBatchedShards) trades the exactness
-// of the per-sample layout for throughput: each worker runs ONE batched
-// forward/backward over its contiguous minibatch slice (every Linear/LSTM
-// matmul at rows = shard size instead of rows = 1), still scaled as its
-// 1/batch share of the minibatch via rl::ppo_shard_loss, and the calling
-// thread folds per-shard gradient slots in shard order. Within a shard the
-// weight-gradient matmul_tn folds rows in increasing row order — exactly
-// the serial sequence restricted to the slice — but the fold ACROSS shards
-// re-associates that row sum at shard boundaries: (g0+g1)+(g2+g3) instead
-// of ((g0+g1)+g2)+g3. The result is deterministic for a fixed shard count
-// (shards are folded in index order on one thread) but only
-// tolerance-bounded against the serial fold, which is why this mode has a
-// pinned numerical-equivalence test (tests/test_update_modes.cpp) rather
-// than a bitwise golden.
-//
-// The backward implementation is orthogonal to the layout
-// (UpdatePath, default kFused): the fused path computes the same gradients
-// with hand-written analytic kernels into preallocated BackwardWorkspace
-// slots instead of building a tape graph, replaying the tape's
-// floating-point accumulation orders exactly, so every determinism
-// statement above carries over bit-for-bit (nn/backward.hpp states the
-// per-kernel replay contracts; tests/test_backward_path.cpp pins
-// tape-vs-fused equality per layout and over whole training runs). The
-// fused workers write into the same per-sample / per-shard slot tensors
-// the tape path grad-redirects into, so the ordered fold on the calling
-// thread is literally shared code.
+// The backward implementation is orthogonal to sharding (UpdatePath,
+// default kFused): the fused path computes the same gradients with
+// hand-written analytic kernels into preallocated BackwardWorkspace slots
+// instead of building a tape graph, replaying the tape's floating-point
+// accumulation orders exactly, so every statement above carries over
+// bit-for-bit (nn/backward.hpp states the per-kernel replay contracts;
+// tests/test_backward_path.cpp pins tape-vs-fused equality serially, per
+// shard count, and over whole training runs). Fused workers write into the
+// same per-shard slot tensors the tape path grad-redirects into, so the
+// ordered fold on the calling thread is shared code.
 #pragma once
 
 #include <cstddef>
@@ -138,15 +123,6 @@ double serial_minibatch_update(UpdateContext& ctx,
                                const std::vector<std::size_t>& order,
                                std::size_t begin, std::size_t end);
 
-/// Forward/backward for ONE sample as its 1/`batch` share of a minibatch.
-/// Parameter gradients accumulate into the tape's installed grad-redirect
-/// targets (the caller's per-sample slot tensors). Returns the scaled
-/// per-sample loss, so the sum over a minibatch's samples equals that
-/// minibatch's loss up to summation order.
-double sample_loss_and_grads(nn::Tape& tape, CoordinatedActor& actor,
-                             CentralizedCritic& critic, const rl::Sample& sample,
-                             std::size_t batch, const rl::PpoConfig& ppo);
-
 /// One batched forward/backward over the contiguous minibatch slice
 /// samples[order[begin..end)], scaled as its (end-begin)/`batch` share of
 /// the minibatch (rl::ppo_shard_loss with the GLOBAL batch divisor).
@@ -164,8 +140,7 @@ double shard_loss_and_grads(nn::Tape& tape, CoordinatedActor& actor,
                             std::size_t batch, const PairUpConfig& config,
                             const PackedSampleBlock* block = nullptr);
 
-/// Tape-free equivalent of shard_loss_and_grads (rows == 1 also covers
-/// sample_loss_and_grads): one fused forward + analytic backward over
+/// Tape-free equivalent of shard_loss_and_grads: one fused forward + analytic backward over
 /// samples[order[begin..end)] as its (end-begin)/`batch` minibatch share,
 /// with NO tape — activations live in `ws` slots (zero steady-state
 /// allocations) and parameter gradients accumulate directly into
@@ -186,25 +161,19 @@ double fused_shard_loss_and_grads(nn::BackwardWorkspace& ws,
                                   nn::Tensor* const* critic_sinks);
 
 /// Shards each minibatch's forward/backward work across a reusable thread
-/// pool (contiguous sample ranges, one scratch tape per shard), then
-/// reduces the gradient slots in a fixed order on the calling thread before
-/// the single clip_grad_norm + Adam step. Two layouts (see file comment):
-/// kPerSampleShards — one single-row tape per sample, per-sample slots
-/// folded in global sample order, bit-identical to the serial update;
-/// kBatchedShards — one batched tape per shard, per-shard slots folded in
-/// shard order, tolerance-bounded against the serial update.
+/// pool (contiguous sample ranges, one batched pass and one scratch tape per
+/// shard), then folds the per-shard gradient slots in shard order on the
+/// calling thread before the single clip_grad_norm + Adam step. See the file
+/// comment for the determinism contract.
 class ParallelUpdateEngine {
  public:
   /// `num_shards` >= 2 (use serial_minibatch_update directly for 1).
-  /// `mode` must not be UpdateMode::kSerial.
-  explicit ParallelUpdateEngine(std::size_t num_shards,
-                                UpdateMode mode = UpdateMode::kPerSampleShards);
+  explicit ParallelUpdateEngine(std::size_t num_shards);
 
   std::size_t num_shards() const { return num_shards_; }
-  UpdateMode mode() const { return mode_; }
 
   /// Sharded equivalent of serial_minibatch_update (ctx.tape is unused).
-  /// Returns the sum of the per-sample scaled losses — the same quantity as
+  /// Returns the sum of the per-shard scaled losses — the same quantity as
   /// the serial minibatch loss up to FP summation order.
   double run_minibatch(UpdateContext& ctx,
                        const std::vector<const rl::Sample*>& samples,
@@ -218,18 +187,15 @@ class ParallelUpdateEngine {
   std::size_t backward_alloc_events() const;
 
  private:
-  void ensure_buffers(const std::vector<nn::Parameter*>& params,
-                      std::size_t num_slots);
+  void ensure_buffers(const std::vector<nn::Parameter*>& params);
 
   std::size_t num_shards_;
-  UpdateMode mode_;
   util::ThreadPool pool_;
   std::vector<std::unique_ptr<nn::Tape>> shard_tapes_;
-  /// One backward workspace per shard (fused path); created lazily-never —
-  /// eagerly in the ctor, like the shard tapes.
+  /// One backward workspace per shard (fused path), created in the ctor like
+  /// the shard tapes.
   std::vector<std::unique_ptr<nn::BackwardWorkspace>> shard_ws_;
-  /// slot_grads_[i][k]: gradient slot i's tensor for params[k]. One slot per
-  /// sample (kPerSampleShards) or per shard (kBatchedShards).
+  /// slot_grads_[s][k]: shard s's gradient tensor for params[k].
   std::vector<std::vector<nn::Tensor>> slot_grads_;
   std::vector<double> slot_losses_;
   /// Per-parameter reduction target for the ordered fold.

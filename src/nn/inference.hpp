@@ -17,11 +17,11 @@
 // Bit-identity contract: every kernel here mirrors the corresponding Tape
 // op's loop structure exactly (same operation order, same rounding), so
 // logits / messages / values / actions produced through forward_inference
-// are bit-identical to the tape path. tests/test_inference_path.cpp pins
+// are bit-identical to the tape path. tests/test_inference.cpp pins
 // this against the tape for the actor, critic, and all NN baselines.
 //
-// Threading: a workspace is mutable scratch — give each worker thread its
-// own (RolloutWorker carries one; see core/trainer.hpp). Buffers returned
+// Threading: a workspace is mutable scratch — give each thread its own
+// (every core::FleetRolloutEngine owns one). Buffers returned
 // by acquire() are only valid until the next begin_pass(), so persistent
 // state (LSTM h/c) must be copied out before the next pass.
 #pragma once

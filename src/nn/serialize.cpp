@@ -1,9 +1,11 @@
 #include "src/nn/serialize.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
+#include <vector>
 
 #include "src/util/fs.hpp"
 
@@ -66,6 +68,10 @@ void load_weights(Module& module, const std::string& path) {
   const std::uint64_t count = read_u64(in);
   if (count != params.size())
     throw std::runtime_error("load_weights: parameter count mismatch in " + path);
+  // Stage every tensor and commit only once the whole file has been read, so
+  // a truncated or mismatched file leaves the module untouched.
+  std::vector<Tensor> staged;
+  staged.reserve(params.size());
   for (Parameter* p : params) {
     const std::uint64_t rank = read_u64(in);
     if (rank != p->value.rank())
@@ -75,10 +81,13 @@ void load_weights(Module& module, const std::string& path) {
       if (dim != p->value.shape()[d])
         throw std::runtime_error("load_weights: shape mismatch for " + p->name);
     }
-    in.read(reinterpret_cast<char*>(p->value.data()),
-            static_cast<std::streamsize>(p->value.size() * sizeof(double)));
+    staged.push_back(Tensor::zeros_like(p->value));
+    read_values(in, staged.back());
   }
   if (!in) throw std::runtime_error("load_weights: truncated file " + path);
+  for (std::size_t k = 0; k < params.size(); ++k)
+    std::copy(staged[k].data(), staged[k].data() + staged[k].size(),
+              params[k]->value.data());
 }
 
 void save_optimizer_state(const Adam& optim, const std::string& path) {

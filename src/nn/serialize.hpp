@@ -20,8 +20,10 @@ namespace tsc::nn {
 /// Writes all parameters of `module` to `path`. Throws on I/O failure.
 void save_weights(Module& module, const std::string& path);
 
-/// Loads parameters saved by save_weights. Throws on I/O failure or if the
-/// stored shapes do not match the module's parameters.
+/// Loads parameters saved by save_weights. Throws on I/O failure, a
+/// truncated file, or stored shapes that do not match the module's
+/// parameters; the module's weights are only written once the whole file
+/// has been read, so a throw leaves them unchanged.
 void load_weights(Module& module, const std::string& path);
 
 /// Writes `optim`'s full state (Adam step count + per-parameter first and

@@ -200,7 +200,7 @@ void matmul_rows_into(double* out, const double* a, const double* b,
 //    +-0.0 product (a[i][p] == 0, b finite) to a sum that is not -0.0
 //    returns the sum unchanged. With a non-finite b (0 * inf = NaN) the
 //    paths could diverge, but network parameters are finite by
-//    construction. tests/test_inference_path.cpp pins the equivalence.
+//    construction. tests/test_inference.cpp pins the equivalence.
 //  * Row blocks below 8 and ragged columns delegate to matmul_into's exact
 //    loops (skip included), which are bit-identical per the above.
 

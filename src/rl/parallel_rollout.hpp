@@ -1,45 +1,29 @@
-// Parallel rollout collection over environment replicas.
-//
-// On-policy PPO rollout collection is embarrassingly parallel across
-// environment replicas: each worker owns a full environment copy plus
-// frozen copies of the policy parameters, runs one complete episode, and
-// the per-worker RolloutBuffers are merged into a single PPO batch.
-//
-// The collector here is deliberately policy-agnostic: `Worker` is whatever
-// bundle the caller needs on each pool thread (core::PairUpLightTrainer
-// instantiates it with an env replica + frozen actor/critic copies). The
-// collector owns the workers and a reusable util::ThreadPool, derives
-// per-worker seeds deterministically from the round's base seed
-// (independent of thread scheduling), and returns results in worker order -
-// so a run is bit-reproducible for a fixed worker count.
+// Multi-episode rollout batches: merging per-replica episode buffers into
+// one PPO batch, and the deterministic per-round seed and exploration-stream
+// derivations for num_envs > 1 collection (core/trainer.hpp runs the
+// replicas in lockstep through core/fleet_engine.hpp). Seeds derive on the
+// calling thread from the round's base seed alone, so a run is
+// bit-reproducible for a fixed replica count.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
-#include <future>
-#include <memory>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "src/rl/rollout.hpp"
 #include "src/util/rng.hpp"
-#include "src/util/thread_pool.hpp"
 
 namespace tsc::rl {
 
-/// Concatenates per-worker episode buffers (identical agent rosters) into
-/// one batch, preserving worker order. Each part must already be finished
+/// Concatenates per-replica episode buffers (identical agent rosters) into
+/// one batch, preserving replica order. Each part must already be finished
 /// (GAE run per episode) - advantages are per-trajectory quantities and
 /// cannot be computed across the merge boundary.
 RolloutBuffer merge_rollouts(std::vector<RolloutBuffer> parts);
 
 /// Derives one round's env seeds and exploration streams from the round's
-/// base seed: seed draw and split() interleaved per slot, exactly the
-/// historical ParallelRolloutCollector::collect derivation. Shared with the
-/// fleet-batched collection path so both consume identical streams for the
-/// same (base_seed, k) — which is what makes fleet-vs-threaded trajectories
-/// bit-comparable.
+/// base seed: seed draw and split() interleaved per slot (the historical
+/// thread-pool collector's derivation, which the num_envs > 1 golden in
+/// tests/test_parallel_rollout.cpp pins).
 inline void derive_round_streams(std::uint64_t base_seed, std::size_t k,
                                  std::vector<std::uint64_t>& env_seeds,
                                  std::vector<Rng>& rngs) {
@@ -54,11 +38,10 @@ inline void derive_round_streams(std::uint64_t base_seed, std::size_t k,
   }
 }
 
-/// Worker-count-invariant variant: each slot's exploration stream derives
+/// Replica-count-invariant variant: each slot's exploration stream derives
 /// from its caller-chosen env seed alone (split() of a fresh Rng(seed)
 /// decorrelates the exploration draws from the env's own Rng(seed) stream
-/// while staying a pure function of the episode's seed) — the historical
-/// collect_seeded derivation, shared with the fleet path.
+/// while staying a pure function of the episode's seed).
 inline void derive_seeded_streams(const std::vector<std::uint64_t>& env_seeds,
                                   std::vector<Rng>& rngs) {
   rngs.clear();
@@ -68,78 +51,5 @@ inline void derive_seeded_streams(const std::vector<std::uint64_t>& env_seeds,
     rngs.push_back(derive.split());
   }
 }
-
-template <typename Worker>
-class ParallelRolloutCollector {
- public:
-  /// Takes ownership of the worker bundles; spawns one pool thread per
-  /// worker. Workers must be mutually independent - nothing a worker
-  /// mutates during collection may be reachable from another worker.
-  explicit ParallelRolloutCollector(std::vector<std::unique_ptr<Worker>> workers)
-      : workers_(std::move(workers)),
-        pool_(workers_.empty() ? 1 : workers_.size()) {}
-
-  std::size_t num_workers() const { return workers_.size(); }
-  Worker& worker(std::size_t i) { return *workers_.at(i); }
-
-  /// Runs `fn(worker, env_seed, rng)` once per worker, concurrently.
-  /// Per-worker seeds and Rng streams derive from `base_seed` on the
-  /// calling thread before dispatch, and each worker receives its Rng BY
-  /// VALUE (Rng is not thread-safe; see util/rng.hpp). Results come back
-  /// in worker order; a worker exception is rethrown here after all
-  /// workers have finished. When `seeds_out` is non-null it receives the
-  /// env seed handed to each worker, in worker order.
-  template <typename Fn>
-  auto collect(std::uint64_t base_seed, Fn&& fn,
-               std::vector<std::uint64_t>* seeds_out = nullptr)
-      -> std::vector<std::invoke_result_t<Fn&, Worker&, std::uint64_t, Rng>> {
-    std::vector<std::uint64_t> env_seeds;
-    std::vector<Rng> worker_rngs;
-    derive_round_streams(base_seed, workers_.size(), env_seeds, worker_rngs);
-    if (seeds_out != nullptr) *seeds_out = env_seeds;
-    return dispatch(env_seeds, worker_rngs, std::forward<Fn>(fn));
-  }
-
-  /// Worker-count-invariant variant: worker w runs with the caller-chosen
-  /// `env_seeds[w]` (one per worker), and its exploration Rng derives from
-  /// that env seed alone — so an episode's seeds depend only on its global
-  /// episode index, never on how many workers collected the round.
-  template <typename Fn>
-  auto collect_seeded(const std::vector<std::uint64_t>& env_seeds, Fn&& fn)
-      -> std::vector<std::invoke_result_t<Fn&, Worker&, std::uint64_t, Rng>> {
-    assert(env_seeds.size() == workers_.size());
-    std::vector<Rng> worker_rngs;
-    derive_seeded_streams(env_seeds, worker_rngs);
-    return dispatch(env_seeds, worker_rngs, std::forward<Fn>(fn));
-  }
-
- private:
-  template <typename Fn>
-  auto dispatch(const std::vector<std::uint64_t>& env_seeds,
-                const std::vector<Rng>& worker_rngs, Fn&& fn)
-      -> std::vector<std::invoke_result_t<Fn&, Worker&, std::uint64_t, Rng>> {
-    using Result = std::invoke_result_t<Fn&, Worker&, std::uint64_t, Rng>;
-    std::vector<std::future<Result>> futures;
-    futures.reserve(workers_.size());
-    for (std::size_t w = 0; w < workers_.size(); ++w) {
-      const std::uint64_t env_seed = env_seeds[w];
-      Rng worker_rng = worker_rngs[w];
-      Worker* worker = workers_[w].get();
-      futures.push_back(pool_.submit([&fn, worker, env_seed, worker_rng]() mutable {
-        return fn(*worker, env_seed, worker_rng);
-      }));
-    }
-    // Wait for every task before get() so that a throwing worker cannot
-    // leave siblings running against captured state we are unwinding past.
-    for (auto& f : futures) f.wait();
-    std::vector<Result> results;
-    results.reserve(futures.size());
-    for (auto& f : futures) results.push_back(f.get());
-    return results;
-  }
-
-  std::vector<std::unique_ptr<Worker>> workers_;
-  util::ThreadPool pool_;
-};
 
 }  // namespace tsc::rl

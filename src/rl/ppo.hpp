@@ -46,11 +46,10 @@ nn::Var policy_entropy(nn::Tape& tape, nn::Var logits);
 
 /// policy_entropy with an explicit divisor instead of the node's own row
 /// count: identical op sequence, but scaled by -1/divisor. The sharded PPO
-/// update (core/update_engine.cpp) evaluates graphs over a subset of the
-/// minibatch — one row per sample (per-sample shards) or a contiguous
-/// multi-row slice (batched shards) — that must contribute gradients as
-/// their exact rows/minibatch share of the batched graph, so it passes the
-/// full minibatch size here regardless of the node's row count.
+/// update (core/update_engine.cpp) evaluates graphs over a contiguous slice
+/// of the minibatch that must contribute gradients as its exact
+/// rows/minibatch share of the batched graph, so it passes the full
+/// minibatch size here regardless of the node's row count.
 nn::Var policy_entropy_scaled(nn::Tape& tape, nn::Var logits, std::size_t divisor);
 
 /// The same objective as ppo_total_loss, but with every batch mean written
@@ -58,10 +57,9 @@ nn::Var policy_entropy_scaled(nn::Tape& tape, nn::Var logits, std::size_t diviso
 /// minibatch contributes its exact share of the full minibatch gradient.
 /// With rows == divisor the two losses are the same objective; the backward
 /// arithmetic is engineered to match ppo_total_loss rounding-for-rounding
-/// (see core/update_engine.cpp for the argument). Callers pass rows == 1
-/// (per-sample shards) or a whole contiguous slice at rows <= divisor
-/// (batched shards). `entropy` must come from policy_entropy_scaled with
-/// the same divisor.
+/// (see core/update_engine.hpp for the argument). Callers pass a contiguous
+/// minibatch slice at rows <= divisor (one shard's rows). `entropy` must
+/// come from policy_entropy_scaled with the same divisor.
 nn::Var ppo_shard_loss(nn::Tape& tape, nn::Var new_logp, nn::Var entropy,
                        nn::Var values, const std::vector<double>& old_logp,
                        const std::vector<double>& advantages,

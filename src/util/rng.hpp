@@ -16,8 +16,8 @@ namespace tsc {
 /// mutates the 4-word state, so concurrent use is a data race AND silently
 /// destroys reproducibility. Parallel components must hand each worker its
 /// own instance BY VALUE, derived via split() on the owning thread before
-/// dispatch (this is what rl::ParallelRolloutCollector does at the
-/// collector boundary).
+/// dispatch (rl::derive_round_streams derives one stream per rollout
+/// replica this way).
 class Rng {
  public:
   using result_type = std::uint64_t;

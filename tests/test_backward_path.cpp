@@ -5,16 +5,14 @@
 //   * bitwise pins: the fused gradients equal Tape::backward's to the bit —
 //     per layer (GAT), per loss (fused PPO vs the shard-loss graph), per
 //     minibatch slice (fused vs tape with grad redirects), and end to end
-//     (20-episode weight trajectories, every update_mode / shard count);
+//     (20-episode weight trajectories, serial and sharded);
 //   * the zero-steady-state-allocation contract of BackwardWorkspace;
-//   * the num_update_shards hardware clamp (result-invariant by the
-//     per-sample bit-identity guarantee).
+//   * oversubscribed shard counts are kept, not clamped.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <thread>
 #include <vector>
 
 #include "src/core/trainer.hpp"
@@ -369,8 +367,8 @@ TEST(BackwardPathBitwise, FusedShardGradsMatchTapeRedirects) {
   const std::size_t actor_count = params.size();
   for (nn::Parameter* p : critic.parameters()) params.push_back(p);
 
-  // {begin, end}: full minibatch (serial), interior slice (batched shard),
-  // single row (per-sample shard).
+  // {begin, end}: full minibatch (serial), interior slice (shard), single
+  // row.
   const struct { std::size_t begin, end; } slices[] = {{0, 6}, {2, 5}, {0, 1}};
   for (const auto& sl : slices) {
     std::vector<nn::Tensor> tape_grads, fused_grads;
@@ -402,35 +400,6 @@ TEST(BackwardPathBitwise, FusedShardGradsMatchTapeRedirects) {
       expect_tensors_bitwise(tape_grads[k], fused_grads[k], "param grad");
   }
 
-  // The rows == 1 fused call also replays sample_loss_and_grads exactly
-  // (the per-sample shard layout).
-  {
-    std::vector<nn::Tensor> tape_grads;
-    for (const nn::Parameter* p : params)
-      tape_grads.push_back(nn::Tensor::zeros_like(p->value));
-    nn::Tape tape;
-    nn::Tape::GradRedirects redirects;
-    for (std::size_t k = 0; k < params.size(); ++k)
-      redirects.emplace_back(params[k], &tape_grads[k]);
-    tape.set_grad_redirects(&redirects);
-    const double tape_loss = core::sample_loss_and_grads(
-        tape, actor, critic, *samples[order[0]], samples.size(), config.ppo);
-    tape.set_grad_redirects(nullptr);
-
-    std::vector<nn::Tensor> fused_grads;
-    for (const nn::Parameter* p : params)
-      fused_grads.push_back(nn::Tensor::zeros_like(p->value));
-    std::vector<nn::Tensor*> sinks;
-    for (nn::Tensor& t : fused_grads) sinks.push_back(&t);
-    nn::BackwardWorkspace ws;
-    const double fused_loss = core::fused_shard_loss_and_grads(
-        ws, actor, critic, samples, order, 0, 1, samples.size(), config,
-        nullptr, sinks.data(), sinks.data() + actor_count);
-    EXPECT_EQ(tape_loss, fused_loss);
-    for (std::size_t k = 0; k < params.size(); ++k)
-      expect_tensors_bitwise(tape_grads[k], fused_grads[k],
-                             "per-sample param grad");
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -518,30 +487,24 @@ TEST(BackwardPathBitwise, SerialFusedMatchesTapeOverTwentyEpisodes) {
 }
 
 TEST(BackwardPathBitwise, ShardedFusedMatchesShardedTape) {
-  // For every sharded layout and shard count, the fused path must replay
-  // the tape path's exact weights (per_sample AND batched: the fused shard
-  // runs the same rows over the same fold order as the tape shard).
-  const core::UpdateMode modes[] = {core::UpdateMode::kPerSampleShards,
-                                    core::UpdateMode::kBatchedShards};
-  for (core::UpdateMode mode : modes) {
-    for (std::size_t shards : {2u, 3u}) {
-      GridFixture tape_f, fused_f;
-      core::PairUpConfig tape_config = tape_f.fast_config();
-      tape_config.num_update_shards = shards;
-      tape_config.update_mode = mode;
-      tape_config.update_path = core::UpdatePath::kTape;
-      core::PairUpConfig fused_config = fused_f.fast_config();
-      fused_config.num_update_shards = shards;
-      fused_config.update_mode = mode;
-      fused_config.update_path = core::UpdatePath::kFused;
-      core::PairUpLightTrainer tape_trainer(&tape_f.environment, tape_config);
-      core::PairUpLightTrainer fused_trainer(&fused_f.environment, fused_config);
-      for (int e = 0; e < 2; ++e) {
-        tape_trainer.train_episode();
-        fused_trainer.train_episode();
-      }
-      expect_weights_identical(tape_trainer, fused_trainer);
+  // For every shard count, the fused path must replay the tape path's exact
+  // weights: the fused shard runs the same rows over the same fold order as
+  // the tape shard.
+  for (std::size_t shards : {2u, 3u}) {
+    GridFixture tape_f, fused_f;
+    core::PairUpConfig tape_config = tape_f.fast_config();
+    tape_config.num_update_shards = shards;
+    tape_config.update_path = core::UpdatePath::kTape;
+    core::PairUpConfig fused_config = fused_f.fast_config();
+    fused_config.num_update_shards = shards;
+    fused_config.update_path = core::UpdatePath::kFused;
+    core::PairUpLightTrainer tape_trainer(&tape_f.environment, tape_config);
+    core::PairUpLightTrainer fused_trainer(&fused_f.environment, fused_config);
+    for (int e = 0; e < 2; ++e) {
+      tape_trainer.train_episode();
+      fused_trainer.train_episode();
     }
+    expect_weights_identical(tape_trainer, fused_trainer);
   }
 }
 
@@ -564,24 +527,19 @@ TEST(BackwardPathAlloc, SerialSteadyStateAllocEventsAreZero) {
 }
 
 TEST(BackwardPathAlloc, ShardedSteadyStateAllocEventsAreZero) {
-  const core::UpdateMode modes[] = {core::UpdateMode::kPerSampleShards,
-                                    core::UpdateMode::kBatchedShards};
-  for (core::UpdateMode mode : modes) {
-    GridFixture f;
-    core::PairUpConfig config = f.fast_config();
-    config.ppo.epochs = 2;
-    config.num_update_shards = 2;
-    config.update_mode = mode;
-    core::PairUpLightTrainer trainer(&f.environment, config);
-    trainer.train_episode();
-    trainer.train_episode();
-    const std::size_t warm = trainer.update_alloc_events();
-    EXPECT_GT(warm, 0u);
-    trainer.train_episode();
-    trainer.train_episode();
-    EXPECT_EQ(trainer.update_alloc_events(), warm)
-        << "sharded fused update allocated in steady state";
-  }
+  GridFixture f;
+  core::PairUpConfig config = f.fast_config();
+  config.ppo.epochs = 2;
+  config.num_update_shards = 2;
+  core::PairUpLightTrainer trainer(&f.environment, config);
+  trainer.train_episode();
+  trainer.train_episode();
+  const std::size_t warm = trainer.update_alloc_events();
+  EXPECT_GT(warm, 0u);
+  trainer.train_episode();
+  trainer.train_episode();
+  EXPECT_EQ(trainer.update_alloc_events(), warm)
+      << "sharded fused update allocated in steady state";
 }
 
 TEST(BackwardPathAlloc, TapePathNeverTouchesTheWorkspace) {
@@ -594,37 +552,14 @@ TEST(BackwardPathAlloc, TapePathNeverTouchesTheWorkspace) {
 }
 
 // ---------------------------------------------------------------------------
-// Shard-count hardware clamp.
-
-TEST(BackwardPathClamp, PerSampleShardsClampToHardwareThreads) {
-  const std::size_t hw =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  GridFixture clamped_f, serial_f;
-  core::PairUpConfig config = clamped_f.fast_config();
-  config.num_update_shards = 64;
-  config.update_mode = core::UpdateMode::kPerSampleShards;
-  core::PairUpLightTrainer clamped(&clamped_f.environment, config);
-  const std::size_t expected =
-      64 > hw ? std::max<std::size_t>(2, hw) : std::size_t{64};
-  EXPECT_EQ(clamped.update_shards(), expected);
-
-  // The clamp is result-invariant: per-sample gradients are bit-identical
-  // for EVERY shard count, including the serial update.
-  core::PairUpLightTrainer serial(&serial_f.environment, serial_f.fast_config());
-  for (int e = 0; e < 2; ++e) {
-    clamped.train_episode();
-    serial.train_episode();
-  }
-  expect_weights_identical(clamped, serial);
-}
+// Oversubscribed shard counts.
 
 TEST(BackwardPathClamp, BatchedShardsAreNotClamped) {
-  // Clamping kBatchedShards would CHANGE results (the shard-boundary fold
-  // depends on the shard count), so oversubscription only warns.
+  // Clamping the shard count would CHANGE results (the shard-boundary fold
+  // depends on it), so oversubscription only warns.
   GridFixture f;
   core::PairUpConfig config = f.fast_config();
   config.num_update_shards = 64;
-  config.update_mode = core::UpdateMode::kBatchedShards;
   core::PairUpLightTrainer trainer(&f.environment, config);
   EXPECT_EQ(trainer.update_shards(), 64u);
   const auto stats = trainer.train_episode();  // mostly-empty shards still work

@@ -1,14 +1,16 @@
-// Golden suite for the tape-free inference path (nn/inference.hpp).
+// Golden suite for the tape-free inference path (nn/inference.hpp) and the
+// fleet engine that runs every PairUpLight decision (core/fleet_engine.hpp).
 //
-// The contract under test is BIT-IDENTITY: forward_inference must reproduce
-// the tape forward's floating-point results exactly — logits, messages,
-// LSTM states, and values — so that flipping config.inference_path never
-// changes a single action, stat, or trained weight. The direct tests below
-// compare the two paths element-for-element across multiple steps (LSTM
-// state carried separately per path, heterogeneous phase counts); the
-// trainer/baseline tests run whole training + evaluation episodes twice and
-// require identical stats and weights. A final test pins the zero
-// steady-state-allocation guarantee via InferenceWorkspace::alloc_events().
+// The contract under test is BIT-IDENTITY with the autodiff tape, the
+// oracle: forward_inference must reproduce the tape forward's
+// floating-point results exactly — logits, messages, LSTM states, and
+// values. The direct tests compare the two element-for-element across
+// multiple steps (LSTM state carried separately per path, heterogeneous
+// phase counts); the tape-oracle tests re-run every sample the fleet engine
+// recorded through a tape forward from the sample's stored inputs; the
+// baseline tests run whole episodes with the baselines' own inference_path
+// flag off and on. Final tests pin the zero steady-state-allocation
+// guarantee via alloc_events().
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -74,7 +76,8 @@ TEST(InferencePath, ActorForwardMatchesTapeBitForBit) {
         tape.constant(nn::Tensor::matrix(batch, hidden, tape_h)),
         tape.constant(nn::Tensor::matrix(batch, hidden, tape_c)), phase_counts);
 
-    // Inference path (inputs copied into workspace buffers, like decide_step).
+    // Inference path (inputs copied into workspace buffers, like the fleet
+    // engine does).
     ws.begin_pass();
     nn::Tensor& x_in = ws.acquire(batch, obs_dim + msg_dim);
     std::copy(input.begin(), input.end(), x_in.data());
@@ -147,10 +150,8 @@ TEST(InferencePath, CriticForwardMatchesTapeBitForBit) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end parity: whole training + evaluation episodes with the flag off
-// (tape) vs on (inference) must be indistinguishable. The 2x2 fixture is
-// the same one whose seed-7 trajectory is pinned as a golden in
-// tests/test_parallel_rollout.cpp.
+// Tape oracle for collected rollouts. The 2x2 fixture is the same one whose
+// seed-7 trajectory is pinned as a golden in tests/test_parallel_rollout.cpp.
 
 struct GridFixture {
   scenario::GridScenario grid;
@@ -192,31 +193,6 @@ struct GridFixture {
   }
 };
 
-std::vector<double> all_weights(core::PairUpLightTrainer& trainer) {
-  std::vector<double> values;
-  for (std::size_t m = 0; m < trainer.num_models(); ++m) {
-    for (nn::Parameter* p : trainer.actor(m).parameters())
-      values.insert(values.end(), p->value.values().begin(),
-                    p->value.values().end());
-    for (nn::Parameter* p : trainer.critic(m).parameters())
-      values.insert(values.end(), p->value.values().begin(),
-                    p->value.values().end());
-  }
-  return values;
-}
-
-void expect_weights_identical(core::PairUpLightTrainer& a,
-                              core::PairUpLightTrainer& b) {
-  const auto wa = all_weights(a);
-  const auto wb = all_weights(b);
-  ASSERT_EQ(wa.size(), wb.size());
-  std::size_t mismatches = 0;
-  for (std::size_t i = 0; i < wa.size(); ++i)
-    if (!(wa[i] == wb[i]) && ++mismatches <= 3)
-      ADD_FAILURE() << "weight " << i << ": " << wa[i] << " != " << wb[i];
-  EXPECT_EQ(mismatches, 0u);
-}
-
 void expect_stats_identical(const env::EpisodeStats& a,
                             const env::EpisodeStats& b, const char* what) {
   EXPECT_DOUBLE_EQ(a.avg_wait, b.avg_wait) << what;
@@ -226,50 +202,117 @@ void expect_stats_identical(const env::EpisodeStats& a,
   EXPECT_EQ(a.vehicles_spawned, b.vehicles_spawned) << what;
 }
 
-TEST(InferencePath, TrainerEpisodesMatchTapePath) {
-  GridFixture tape_f, inf_f;
-  core::PairUpConfig tape_config = tape_f.fast_config();
-  tape_config.inference_path = false;
-  core::PairUpConfig inf_config = inf_f.fast_config();
-  inf_config.inference_path = true;
-  core::PairUpLightTrainer tape_trainer(&tape_f.environment, tape_config);
-  core::PairUpLightTrainer inf_trainer(&inf_f.environment, inf_config);
+// Re-runs every sample of `buffer` (all agents, `episodes` equal-length
+// episodes per agent, back to back) through the tape forward from the
+// sample's stored inputs — actor input including the partner's message,
+// pre-step LSTM h/c — and requires the recorded log-prob of the taken action
+// and the recorded value to match the tape bit for bit. Within an episode
+// the next sample's stored h/c must also equal this sample's tape output
+// state: the fleet engine's recurrent carry.
+void expect_samples_match_tape_oracle(core::PairUpLightTrainer& trainer,
+                                      const rl::RolloutBuffer& buffer,
+                                      std::size_t episodes) {
+  ASSERT_EQ(trainer.config().kernel_tier, nn::KernelTier::kReference);
+  const bool shared = trainer.config().parameter_sharing;
+  nn::Tape tape;
+  for (std::size_t i = 0; i < buffer.num_agents(); ++i) {
+    const auto& samples = buffer.agent_samples(i);
+    ASSERT_FALSE(samples.empty()) << "agent " << i;
+    ASSERT_EQ(samples.size() % episodes, 0u) << "agent " << i;
+    const std::size_t episode_len = samples.size() / episodes;
+    core::CoordinatedActor& actor = trainer.actor(shared ? 0 : i);
+    core::CentralizedCritic& critic = trainer.critic(shared ? 0 : i);
+    const std::size_t rows = samples.size();
+    const std::size_t hidden = actor.hidden_size();
 
-  for (int e = 0; e < 3; ++e) {
-    const auto s1 = tape_trainer.train_episode();
-    const auto s2 = inf_trainer.train_episode();
-    expect_stats_identical(s1, s2, "train episode");
+    // Rows are independent in every kernel, so one tape batch holds them all.
+    tape.reset();
+    auto pack = [&](std::vector<double> rl::Sample::*field, std::size_t width) {
+      nn::Tensor t = nn::Tensor::zeros(rows, width);
+      for (std::size_t r = 0; r < rows; ++r) {
+        const std::vector<double>& v = samples[r].*field;
+        EXPECT_EQ(v.size(), width) << "row " << r;
+        std::copy(v.begin(), v.end(), t.data() + r * width);
+      }
+      return tape.constant(std::move(t));
+    };
+    std::vector<std::size_t> phase_counts(rows);
+    for (std::size_t r = 0; r < rows; ++r) phase_counts[r] = samples[r].phase_count;
+
+    nn::Var input = pack(&rl::Sample::obs, actor.input_dim());
+    nn::Var h_a = pack(&rl::Sample::h_actor, hidden);
+    nn::Var c_a = pack(&rl::Sample::c_actor, hidden);
+    auto actor_out = actor.forward(tape, input, h_a, c_a, phase_counts);
+    nn::Var logp = tape.log_softmax_rows(actor_out.logits);
+    nn::Var v_input = pack(&rl::Sample::critic_obs, critic.input_dim());
+    nn::Var h_v = pack(&rl::Sample::h_critic, hidden);
+    nn::Var c_v = pack(&rl::Sample::c_critic, hidden);
+    auto critic_out = critic.forward(tape, v_input, h_v, c_v);
+
+    const nn::Tensor& logp_t = tape.value(logp);
+    const nn::Tensor& value_t = tape.value(critic_out.value);
+    const nn::Tensor* next_state[4] = {
+        &tape.value(actor_out.state.h), &tape.value(actor_out.state.c),
+        &tape.value(critic_out.state.h), &tape.value(critic_out.state.c)};
+    std::size_t mismatches = 0;
+    for (std::size_t r = 0; r < rows; ++r) {
+      const rl::Sample& s = samples[r];
+      if (!(logp_t.at(r, s.action) == s.log_prob) && ++mismatches <= 3)
+        ADD_FAILURE() << "agent " << i << " sample " << r << ": log_prob "
+                      << s.log_prob << " != tape " << logp_t.at(r, s.action);
+      if (!(value_t.at(r, 0) == s.value) && ++mismatches <= 3)
+        ADD_FAILURE() << "agent " << i << " sample " << r << ": value "
+                      << s.value << " != tape " << value_t.at(r, 0);
+      if ((r + 1) % episode_len == 0) continue;  // next sample starts an episode
+      const rl::Sample& next = samples[r + 1];
+      const std::vector<double>* stored[4] = {&next.h_actor, &next.c_actor,
+                                              &next.h_critic, &next.c_critic};
+      for (int k = 0; k < 4; ++k)
+        for (std::size_t c = 0; c < hidden; ++c)
+          if (!(next_state[k]->at(r, c) == (*stored[k])[c]) && ++mismatches <= 3)
+            ADD_FAILURE() << "agent " << i << " sample " << r + 1
+                          << ": stored LSTM state " << k << "[" << c
+                          << "] differs from the tape's carry";
+    }
+    EXPECT_EQ(mismatches, 0u) << "agent " << i;
   }
-  // Identical rollouts feed identical updates: weights stay bit-equal.
-  expect_weights_identical(tape_trainer, inf_trainer);
-
-  const auto e1 = tape_trainer.eval_episode(77);
-  const auto e2 = inf_trainer.eval_episode(77);
-  expect_stats_identical(e1, e2, "eval episode");
 }
 
-TEST(InferencePath, TrainerParityHoldsWithParallelEnvs) {
-  // num_envs > 1 routes forwards through each worker's own workspace.
-  GridFixture tape_f, inf_f;
-  core::PairUpConfig tape_config = tape_f.fast_config();
-  tape_config.num_envs = 2;
-  tape_config.inference_path = false;
-  core::PairUpConfig inf_config = inf_f.fast_config();
-  inf_config.num_envs = 2;
-  inf_config.inference_path = true;
-  core::PairUpLightTrainer tape_trainer(&tape_f.environment, tape_config);
-  core::PairUpLightTrainer inf_trainer(&inf_f.environment, inf_config);
+// Trains `trained_rounds` full rounds first (so the checked weights are not
+// the initialization), then collects one round and checks it against the
+// tape oracle.
+void run_fleet_oracle(core::PairUpLightTrainer& trainer, std::size_t num_envs,
+                      int trained_rounds) {
+  for (int e = 0; e < trained_rounds; ++e) trainer.train_episode();
+  auto collected = trainer.collect_rollouts(12345);
+  EXPECT_EQ(trainer.last_episode_seeds().size(), num_envs);
+  EXPECT_EQ(collected.buffer.total_samples(),
+            collected.env_steps * collected.buffer.num_agents());
+  expect_samples_match_tape_oracle(trainer, collected.buffer, num_envs);
+}
 
-  for (int e = 0; e < 2; ++e) {
-    const auto s1 = tape_trainer.train_episode();
-    const auto s2 = inf_trainer.train_episode();
-    expect_stats_identical(s1, s2, "train episode");
+TEST(InferencePath, TrainerSamplesMatchTapeOracleAcrossUpdates) {
+  // Collect -> oracle -> update, three times: every update changes the
+  // weights the next collection's oracle checks against.
+  GridFixture f;
+  core::PairUpLightTrainer trainer(&f.environment, f.fast_config());
+  for (int e = 0; e < 3; ++e) {
+    auto collected = trainer.collect_rollouts(100 + e);
+    expect_samples_match_tape_oracle(trainer, collected.buffer, 1);
+    trainer.update(collected.buffer);
   }
-  expect_weights_identical(tape_trainer, inf_trainer);
+}
 
-  const auto e1 = tape_trainer.eval_episode(99);
-  const auto e2 = inf_trainer.eval_episode(99);
-  expect_stats_identical(e1, e2, "eval episode");
+TEST(InferencePath, TrainerSamplesMatchTapeOracleWithParallelEnvs) {
+  GridFixture f;
+  core::PairUpConfig config = f.fast_config();
+  config.num_envs = 2;
+  core::PairUpLightTrainer trainer(&f.environment, config);
+  for (int e = 0; e < 2; ++e) {
+    auto collected = trainer.collect_rollouts(200 + e);
+    expect_samples_match_tape_oracle(trainer, collected.buffer, 2);
+    trainer.update(collected.buffer);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -362,13 +405,12 @@ TEST(InferencePath, WorkspaceStopsAllocatingAfterWarmup) {
 }
 
 // ---------------------------------------------------------------------------
-// Fleet-batched collection (core/fleet_engine.hpp). The contract is again
-// BIT-IDENTITY: for the same num_envs, flipping config.fleet_batched must
-// not change a single action, buffer entry, stat, or trained weight. That
-// rests on the batched GEMM kernel being bit-identical (pinned first) and on
-// the engine consuming each env's RNG streams in the per-agent order (pinned
-// by the trajectory/weight comparisons, which run whole recurrent episodes —
-// LSTM carry across steps and episode resets included).
+// Fleet collection (core/fleet_engine.hpp) at every fleet size: the batched
+// GEMM kernel is bit-identical to the reference kernel (pinned first), and
+// every recorded sample matches the tape oracle across whole recurrent
+// episodes — LSTM carry across steps and episode resets included. The
+// trajectories themselves are pinned by the goldens in
+// tests/test_parallel_rollout.cpp and tests/test_kernel_tiers.cpp.
 
 TEST(FleetBatched, BatchedGemmMatchesReferenceBitForBit) {
   Rng rng(5);
@@ -405,95 +447,40 @@ TEST(FleetBatched, BatchedGemmMatchesReferenceBitForBit) {
   }
 }
 
-void expect_buffers_identical(const rl::RolloutBuffer& a,
-                              const rl::RolloutBuffer& b) {
-  ASSERT_EQ(a.num_agents(), b.num_agents());
-  for (std::size_t i = 0; i < a.num_agents(); ++i) {
-    const auto& sa = a.agent_samples(i);
-    const auto& sb = b.agent_samples(i);
-    ASSERT_EQ(sa.size(), sb.size()) << "agent " << i;
-    for (std::size_t t = 0; t < sa.size(); ++t) {
-      EXPECT_EQ(sa[t].obs, sb[t].obs) << "agent " << i << " step " << t;
-      EXPECT_EQ(sa[t].critic_obs, sb[t].critic_obs) << "agent " << i;
-      EXPECT_EQ(sa[t].h_actor, sb[t].h_actor) << "agent " << i << " step " << t;
-      EXPECT_EQ(sa[t].c_actor, sb[t].c_actor) << "agent " << i << " step " << t;
-      EXPECT_EQ(sa[t].h_critic, sb[t].h_critic) << "agent " << i;
-      EXPECT_EQ(sa[t].c_critic, sb[t].c_critic) << "agent " << i;
-      EXPECT_EQ(sa[t].action, sb[t].action) << "agent " << i << " step " << t;
-      EXPECT_EQ(sa[t].phase_count, sb[t].phase_count) << "agent " << i;
-      EXPECT_EQ(sa[t].log_prob, sb[t].log_prob) << "agent " << i << " step " << t;
-      EXPECT_EQ(sa[t].value, sb[t].value) << "agent " << i << " step " << t;
-      EXPECT_EQ(sa[t].reward, sb[t].reward) << "agent " << i << " step " << t;
-      EXPECT_EQ(sa[t].advantage, sb[t].advantage) << "agent " << i;
-      EXPECT_EQ(sa[t].ret, sb[t].ret) << "agent " << i << " step " << t;
-    }
-  }
+TEST(FleetBatched, SamplesMatchTapeOracleSingleEnv) {
+  GridFixture f;
+  core::PairUpLightTrainer trainer(&f.environment, f.fast_config());
+  run_fleet_oracle(trainer, 1, 2);
 }
 
-void run_fleet_parity(std::size_t num_envs) {
-  GridFixture per_f, fleet_f;
-  core::PairUpConfig per_config = per_f.fast_config();
-  per_config.num_envs = num_envs;
-  core::PairUpConfig fleet_config = fleet_f.fast_config();
-  fleet_config.num_envs = num_envs;
-  fleet_config.fleet_batched = true;
-  core::PairUpLightTrainer per_trainer(&per_f.environment, per_config);
-  core::PairUpLightTrainer fleet_trainer(&fleet_f.environment, fleet_config);
-
-  // Raw collection first: every buffer entry (obs, stored h/c, log-probs,
-  // values, GAE outputs) bit-equal, not just the aggregate stats.
-  {
-    auto r1 = per_trainer.collect_rollouts(12345);
-    auto r2 = fleet_trainer.collect_rollouts(12345);
-    expect_stats_identical(r1.stats, r2.stats, "collect stats");
-    EXPECT_EQ(r1.env_steps, r2.env_steps);
-    EXPECT_EQ(per_trainer.last_episode_seeds(), fleet_trainer.last_episode_seeds());
-    expect_buffers_identical(r1.buffer, r2.buffer);
-  }
-
-  // Whole training episodes (fresh episode resets in between), then eval:
-  // identical rollouts feed identical updates, so weights stay bit-equal.
-  for (int e = 0; e < 2; ++e) {
-    const auto s1 = per_trainer.train_episode();
-    const auto s2 = fleet_trainer.train_episode();
-    expect_stats_identical(s1, s2, "train episode");
-  }
-  expect_weights_identical(per_trainer, fleet_trainer);
-  EXPECT_EQ(per_trainer.last_partners(), fleet_trainer.last_partners());
-  EXPECT_EQ(per_trainer.last_messages(), fleet_trainer.last_messages());
-
-  const auto e1 = per_trainer.eval_episode(55);
-  const auto e2 = fleet_trainer.eval_episode(55);
-  expect_stats_identical(e1, e2, "eval episode");
+TEST(FleetBatched, SamplesMatchTapeOracleTwoEnvs) {
+  GridFixture f;
+  core::PairUpConfig config = f.fast_config();
+  config.num_envs = 2;
+  core::PairUpLightTrainer trainer(&f.environment, config);
+  run_fleet_oracle(trainer, 2, 2);
 }
 
-TEST(FleetBatched, MatchesPerAgentPathSingleEnv) { run_fleet_parity(1); }
-TEST(FleetBatched, MatchesPerAgentPathTwoEnvs) { run_fleet_parity(2); }
-TEST(FleetBatched, MatchesPerAgentPathFourEnvs) { run_fleet_parity(4); }
+TEST(FleetBatched, SamplesMatchTapeOracleFourEnvs) {
+  GridFixture f;
+  core::PairUpConfig config = f.fast_config();
+  config.num_envs = 4;
+  core::PairUpLightTrainer trainer(&f.environment, config);
+  run_fleet_oracle(trainer, 4, 2);
+}
 
-TEST(FleetBatched, MatchesPerAgentPathWithInvariantSeeding) {
+TEST(FleetBatched, SamplesMatchTapeOracleWithInvariantSeeding) {
   // The invariant-seeding derivation (episode seeds from the global episode
-  // index) must route through the fleet path unchanged.
-  GridFixture per_f, fleet_f;
-  core::PairUpConfig per_config = per_f.fast_config();
-  per_config.num_envs = 2;
-  per_config.invariant_seeding = true;
-  core::PairUpConfig fleet_config = fleet_f.fast_config();
-  fleet_config.num_envs = 2;
-  fleet_config.invariant_seeding = true;
-  fleet_config.fleet_batched = true;
-  core::PairUpLightTrainer per_trainer(&per_f.environment, per_config);
-  core::PairUpLightTrainer fleet_trainer(&fleet_f.environment, fleet_config);
-  for (int e = 0; e < 2; ++e) {
-    const auto s1 = per_trainer.train_episode();
-    const auto s2 = fleet_trainer.train_episode();
-    expect_stats_identical(s1, s2, "train episode");
-    EXPECT_EQ(per_trainer.last_episode_seeds(), fleet_trainer.last_episode_seeds());
-  }
-  expect_weights_identical(per_trainer, fleet_trainer);
+  // index) feeds the same engine.
+  GridFixture f;
+  core::PairUpConfig config = f.fast_config();
+  config.num_envs = 2;
+  config.invariant_seeding = true;
+  core::PairUpLightTrainer trainer(&f.environment, config);
+  run_fleet_oracle(trainer, 2, 2);
 }
 
-TEST(FleetBatched, HeterogeneousMonacoBucketsMatchPerAgentPath) {
+TEST(FleetBatched, HeterogeneousMonacoBucketsMatchTapeOracle) {
   // Monaco without parameter sharing: one model (= one fleet bucket) per
   // agent, heterogeneous phase counts masked inside each bucket's batch.
   struct MonacoFixture {
@@ -515,28 +502,16 @@ TEST(FleetBatched, HeterogeneousMonacoBucketsMatchPerAgentPath) {
       return config;
     }
   };
-  MonacoFixture per_f, fleet_f;
-  core::PairUpConfig per_config;
-  per_config.hidden = 12;
-  per_config.ppo.epochs = 1;
-  per_config.seed = 7;
-  per_config.parameter_sharing = false;
-  per_config.num_envs = 2;
-  core::PairUpConfig fleet_config = per_config;
-  fleet_config.fleet_batched = true;
-  core::PairUpLightTrainer per_trainer(&per_f.environment, per_config);
-  core::PairUpLightTrainer fleet_trainer(&fleet_f.environment, fleet_config);
-
-  {
-    auto r1 = per_trainer.collect_rollouts(777);
-    auto r2 = fleet_trainer.collect_rollouts(777);
-    expect_stats_identical(r1.stats, r2.stats, "collect stats");
-    expect_buffers_identical(r1.buffer, r2.buffer);
-  }
-  const auto s1 = per_trainer.train_episode();
-  const auto s2 = fleet_trainer.train_episode();
-  expect_stats_identical(s1, s2, "train episode");
-  expect_weights_identical(per_trainer, fleet_trainer);
+  MonacoFixture f;
+  core::PairUpConfig config;
+  config.hidden = 12;
+  config.ppo.epochs = 1;
+  config.seed = 7;
+  config.parameter_sharing = false;
+  config.num_envs = 2;
+  core::PairUpLightTrainer trainer(&f.environment, config);
+  ASSERT_GT(trainer.num_models(), 1u);
+  run_fleet_oracle(trainer, 2, 1);
 }
 
 TEST(FleetBatched, AllocEventsSteadyStateZeroAcrossFleetSizes) {
@@ -544,9 +519,7 @@ TEST(FleetBatched, AllocEventsSteadyStateZeroAcrossFleetSizes) {
   // at a new peak fleet size) may allocate; steady state — including across
   // episode resets and num_envs changes — is exactly zero.
   GridFixture f;
-  core::PairUpConfig config = f.fast_config();
-  config.fleet_batched = true;
-  core::PairUpLightTrainer trainer(&f.environment, config);
+  core::PairUpLightTrainer trainer(&f.environment, f.fast_config());
 
   std::vector<core::CoordinatedActor*> actors;
   std::vector<core::CentralizedCritic*> critics;
@@ -588,7 +561,6 @@ TEST(FleetBatched, AllocEventsSteadyStateZeroAcrossFleetSizes) {
 TEST(FleetBatched, TrainerFleetWorkspaceStopsAllocatingAfterWarmup) {
   GridFixture f;
   core::PairUpConfig config = f.fast_config();
-  config.fleet_batched = true;
   config.num_envs = 2;
   core::PairUpLightTrainer trainer(&f.environment, config);
   ASSERT_NE(trainer.fleet_engine(), nullptr);

@@ -23,11 +23,14 @@
 
 #include "src/baselines/ma2c.hpp"
 #include "src/core/actor.hpp"
+#include "src/core/fleet_engine.hpp"
 #include "src/core/trainer.hpp"
 #include "src/env/env.hpp"
 #include "src/nn/inference.hpp"
 #include "src/nn/kernels.hpp"
 #include "src/nn/tensor.hpp"
+#include "src/rl/parallel_rollout.hpp"
+#include "src/rl/ppo.hpp"
 #include "src/rl/rollout.hpp"
 #include "src/scenarios/grid.hpp"
 #include "src/scenarios/monaco.hpp"
@@ -513,27 +516,43 @@ TEST(KernelTiers, FastGreedyEvalMatchesReferenceOnMonaco) {
 }
 
 TEST(KernelTiers, FleetMatchesPerAgentWithinFastTier) {
-  // Within the fast tier, BOTH GEMM paths route to the FMA kernel and the
-  // squash/softmax go through the same tier dispatch, so fleet-batched
-  // collection stays bit-identical to the per-agent path — the fleet
-  // bit-identity contract survives the tier switch.
-  GridFixture per_f, fleet_f;
-  core::PairUpConfig per_config = per_f.fast_config();
-  per_config.num_envs = 2;
-  per_config.kernel_tier = nn::KernelTier::kFast;
-  core::PairUpConfig fleet_config = per_config;
-  fleet_config.fleet_batched = true;
-  core::PairUpLightTrainer per_trainer(&per_f.environment, per_config);
-  core::PairUpLightTrainer fleet_trainer(&fleet_f.environment, fleet_config);
+  // Within the fast tier every GEMM routes to the FMA kernel and the
+  // squash/softmax go through the same tier dispatch, so no row's result
+  // depends on how many rows share its batch: a two-replica fleet reproduces
+  // each replica's episode run on its own (one env's agents per batch, like
+  // the per-agent decision loop) bit for bit.
+  GridFixture f;
+  core::PairUpConfig config = f.fast_config();
+  config.num_envs = 2;
+  config.kernel_tier = nn::KernelTier::kFast;
+  core::PairUpLightTrainer trainer(&f.environment, config);
+  const auto fleet = trainer.collect_rollouts(12345);
 
-  auto r1 = per_trainer.collect_rollouts(12345);
-  auto r2 = fleet_trainer.collect_rollouts(12345);
-  expect_stats_identical(r1.stats, r2.stats, "fast-tier collect stats");
-  EXPECT_EQ(r1.env_steps, r2.env_steps);
-  ASSERT_EQ(r1.buffer.num_agents(), r2.buffer.num_agents());
-  for (std::size_t i = 0; i < r1.buffer.num_agents(); ++i) {
-    const auto& sa = r1.buffer.agent_samples(i);
-    const auto& sb = r2.buffer.agent_samples(i);
+  std::vector<std::uint64_t> seeds;
+  std::vector<Rng> rngs;
+  rl::derive_round_streams(12345, 2, seeds, rngs);
+  ASSERT_EQ(seeds, trainer.last_episode_seeds());
+  core::FleetRolloutEngine engine(&trainer.config(), {&trainer.actor()},
+                                  {&trainer.critic()}, trainer.hop1_slots(),
+                                  trainer.hop2_slots(),
+                                  trainer.critic_input_dim());
+  std::vector<rl::RolloutBuffer> parts;
+  std::size_t env_steps = 0;
+  for (std::size_t w = 0; w < 2; ++w) {
+    auto replica = f.environment.clone(w);
+    parts.emplace_back(f.environment.num_agents());
+    std::vector<core::FleetSlot> slots{
+        core::FleetSlot{replica.get(), seeds[w], &rngs[w], &parts.back()}};
+    engine.run_episodes(slots, /*train_mode=*/true,
+                        rl::epsilon_at(0, config.ppo));
+    env_steps += replica->steps_taken();
+  }
+  EXPECT_EQ(fleet.env_steps, env_steps);
+  const rl::RolloutBuffer single = rl::merge_rollouts(std::move(parts));
+  ASSERT_EQ(fleet.buffer.num_agents(), single.num_agents());
+  for (std::size_t i = 0; i < single.num_agents(); ++i) {
+    const auto& sa = fleet.buffer.agent_samples(i);
+    const auto& sb = single.agent_samples(i);
     ASSERT_EQ(sa.size(), sb.size()) << "agent " << i;
     for (std::size_t t = 0; t < sa.size(); ++t) {
       EXPECT_EQ(sa[t].obs, sb[t].obs) << "agent " << i << " step " << t;

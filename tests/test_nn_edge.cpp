@@ -3,10 +3,13 @@
 // serialization of multi-module trees.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "grad_check.hpp"
 #include "src/nn/layers.hpp"
@@ -145,6 +148,30 @@ TEST(SerializeEdge, CorruptMagicRejected) {
   Rng rng(55);
   Mlp mlp({2, 2}, rng);
   EXPECT_THROW(load_weights(mlp, path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(SerializeEdge, TruncatedFileLeavesWeightsUnchanged) {
+  // A file cut inside its last tensor must throw before any parameter is
+  // overwritten: load_weights stages the whole file, then commits.
+  Rng rng(56);
+  Mlp saved({3, 5, 2}, rng), target({3, 5, 2}, rng);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "tsc_truncated.bin").string();
+  save_weights(saved, path);
+  std::filesystem::resize_file(
+      path, std::filesystem::file_size(path) - 3 * sizeof(double));
+
+  std::vector<Tensor> before;
+  for (Parameter* p : target.parameters()) before.push_back(p->value);
+  EXPECT_THROW(load_weights(target, path), std::runtime_error);
+  auto params = target.parameters();
+  ASSERT_EQ(params.size(), before.size());
+  for (std::size_t i = 0; i < params.size(); ++i)
+    for (std::size_t j = 0; j < before[i].size(); ++j)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(params[i]->value[j]),
+                std::bit_cast<std::uint64_t>(before[i][j]))
+          << "parameter " << i << " element " << j << " was overwritten";
   std::remove(path.c_str());
 }
 

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -283,6 +284,78 @@ TEST(ParallelRollout, ExplicitNumEnvs1MatchesDefault) {
     EXPECT_DOUBLE_EQ(s1.travel_time, s2.travel_time);
     EXPECT_DOUBLE_EQ(s1.mean_reward, s2.mean_reward);
   }
+}
+
+// ---------------------------------------------------------------------------
+// num_envs = 2 golden regression.
+//
+// Captured from the threaded per-agent collector (fixture above, seed 7, two
+// training rounds at num_envs = 2) before the fleet engine became the only
+// collector; the fleet path must reproduce the per-round stats and the final
+// weights byte for byte, under both seeding modes.
+
+std::uint64_t weights_checksum(core::PairUpLightTrainer& trainer) {
+  std::uint64_t h = 14695981039346656037ULL;  // FNV-1a 64
+  auto mix = [&h](nn::Module& module) {
+    for (const nn::Parameter* p : module.parameters()) {
+      const auto* bytes = reinterpret_cast<const unsigned char*>(p->value.data());
+      for (std::size_t b = 0; b < p->value.size() * sizeof(double); ++b) {
+        h ^= bytes[b];
+        h *= 1099511628211ULL;
+      }
+    }
+  };
+  for (std::size_t m = 0; m < trainer.num_models(); ++m) {
+    mix(trainer.actor(m));
+    mix(trainer.critic(m));
+  }
+  return h;
+}
+
+struct TwoEnvGolden {
+  double wait[2], travel[2], delay[2], reward[2];
+  std::size_t finished[2], spawned[2];
+  std::uint64_t checksum;
+};
+
+void expect_two_env_golden(bool invariant_seeding, const TwoEnvGolden& g) {
+  GridFixture f;
+  core::PairUpConfig config = f.fast_config();
+  config.num_envs = 2;
+  config.invariant_seeding = invariant_seeding;
+  core::PairUpLightTrainer trainer(&f.environment, config);
+  for (int e = 0; e < 2; ++e) {
+    const auto s = trainer.train_episode();
+    EXPECT_DOUBLE_EQ(s.avg_wait, g.wait[e]) << "round " << e;
+    EXPECT_DOUBLE_EQ(s.travel_time, g.travel[e]) << "round " << e;
+    EXPECT_DOUBLE_EQ(s.delay, g.delay[e]) << "round " << e;
+    EXPECT_DOUBLE_EQ(s.mean_reward, g.reward[e]) << "round " << e;
+    EXPECT_EQ(s.vehicles_finished, g.finished[e]) << "round " << e;
+    EXPECT_EQ(s.vehicles_spawned, g.spawned[e]) << "round " << e;
+  }
+  EXPECT_EQ(weights_checksum(trainer), g.checksum);
+}
+
+TEST(ParallelRollout, TwoEnvsMatchPreFleetGolden) {
+  expect_two_env_golden(
+      false, {{7.4124999999999996, 4.7437500000000004},
+              {43.388888888888886, 43.107505070993909},
+              {43.388888888888886, 43.107505070993909},
+              {-0.42781249999999993, -0.28312499999999996},
+              {6, 17},
+              {42, 46},
+              0x23c70ca4d6842fb8ULL});
+}
+
+TEST(ParallelRollout, TwoEnvsInvariantSeedingMatchPreFleetGolden) {
+  expect_two_env_golden(
+      true, {{10.274999999999999, 7.6437499999999998},
+             {50.930194805194802, 53.863095238095241},
+             {50.930194805194802, 53.863095238095241},
+             {-0.60062500000000019, -0.45468749999999997},
+             {7, 11},
+             {50, 46},
+             0x3ae07209c5ace605ULL});
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-// The sharded PPO update (core/update_engine.hpp): serial-path golden
-// regression, the bit-identical-across-shard-counts guarantee, optimizer
-// state checkpointing, and resume-equals-uninterrupted training.
+// The PPO update (core/update_engine.hpp): serial-path golden regression,
+// sharded-update reproducibility, optimizer state checkpointing, and
+// resume-equals-uninterrupted training.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -117,52 +119,9 @@ TEST(ParallelUpdate, SerialPathMatchesPreRefactorGolden) {
 }
 
 // ---------------------------------------------------------------------------
-// The deterministic-reduction guarantee: every shard count produces the
-// same gradients, so the post-step weights — and everything downstream —
-// are exactly equal.
-
-TEST(ParallelUpdate, ShardedWeightsMatchSerialBitForBit) {
-  GridFixture serial_f, sharded_f;
-  core::PairUpConfig sharded_config = sharded_f.fast_config();
-  sharded_config.num_update_shards = 4;
-  // Bitwise equality with the serial fold is the per-sample layout's
-  // guarantee; the default (kBatchedShards) is only tolerance-bounded.
-  sharded_config.update_mode = core::UpdateMode::kPerSampleShards;
-  core::PairUpLightTrainer serial(&serial_f.environment, serial_f.fast_config());
-  core::PairUpLightTrainer sharded(&sharded_f.environment, sharded_config);
-
-  for (int e = 0; e < 2; ++e) {
-    const auto s1 = serial.train_episode();
-    const auto s2 = sharded.train_episode();
-    // Rollouts happen before the episode's update, so identical stats here
-    // confirm the PREVIOUS update left identical weights.
-    EXPECT_DOUBLE_EQ(s1.avg_wait, s2.avg_wait) << "episode " << e;
-    EXPECT_DOUBLE_EQ(s1.mean_reward, s2.mean_reward) << "episode " << e;
-  }
-  expect_weights_identical(serial, sharded);
-
-  const auto e1 = serial.eval_episode(77);
-  const auto e2 = sharded.eval_episode(77);
-  EXPECT_DOUBLE_EQ(e1.travel_time, e2.travel_time);
-  EXPECT_DOUBLE_EQ(e1.mean_reward, e2.mean_reward);
-}
-
-TEST(ParallelUpdate, UnevenShardSplitsAgree) {
-  // 2 vs 3 shards: 3 does not divide the 32-sample minibatches evenly, so
-  // this exercises ragged shard ranges against an even split.
-  GridFixture f2, f3;
-  core::PairUpConfig config2 = f2.fast_config();
-  config2.num_update_shards = 2;
-  config2.update_mode = core::UpdateMode::kPerSampleShards;
-  core::PairUpConfig config3 = f3.fast_config();
-  config3.num_update_shards = 3;
-  config3.update_mode = core::UpdateMode::kPerSampleShards;
-  core::PairUpLightTrainer t2(&f2.environment, config2);
-  core::PairUpLightTrainer t3(&f3.environment, config3);
-  t2.train_episode();
-  t3.train_episode();
-  expect_weights_identical(t2, t3);
-}
+// Sharded updates: deterministic for a fixed shard count, and tolerance-
+// bounded against the serial fold (tests/test_update_modes.cpp has the
+// drift bounds).
 
 TEST(ParallelUpdate, ShardedTrainingIsReproducibleRunToRun) {
   GridFixture f1, f2;
@@ -182,20 +141,32 @@ TEST(ParallelUpdate, ShardedTrainingIsReproducibleRunToRun) {
 }
 
 TEST(ParallelUpdate, ShardingComposesWithParallelRollouts) {
-  // num_envs and num_update_shards are independent knobs; sharding the
-  // update must not change a multi-env run either.
+  // num_envs and num_update_shards are independent knobs: on a multi-env
+  // batch, sharding the update must stay within FP noise of the serial
+  // update, exactly as on a single-env batch.
   GridFixture serial_f, sharded_f;
   core::PairUpConfig serial_config = serial_f.fast_config();
   serial_config.num_envs = 2;
   core::PairUpConfig sharded_config = sharded_f.fast_config();
   sharded_config.num_envs = 2;
   sharded_config.num_update_shards = 4;
-  sharded_config.update_mode = core::UpdateMode::kPerSampleShards;
   core::PairUpLightTrainer serial(&serial_f.environment, serial_config);
   core::PairUpLightTrainer sharded(&sharded_f.environment, sharded_config);
-  serial.train_episode();
-  sharded.train_episode();
-  expect_weights_identical(serial, sharded);
+  const auto s1 = serial.train_episode();
+  const auto s2 = sharded.train_episode();
+  // The first round's rollouts precede any update, so they match exactly.
+  EXPECT_DOUBLE_EQ(s1.avg_wait, s2.avg_wait);
+  EXPECT_DOUBLE_EQ(s1.mean_reward, s2.mean_reward);
+
+  const auto wa = all_weights(serial);
+  const auto wb = all_weights(sharded);
+  ASSERT_EQ(wa.size(), wb.size());
+  double worst = 0.0;
+  for (std::size_t i = 0; i < wa.size(); ++i) {
+    const double scale = std::max({std::fabs(wa[i]), std::fabs(wb[i]), 1.0});
+    worst = std::max(worst, std::fabs(wa[i] - wb[i]) / scale);
+  }
+  EXPECT_LT(worst, 1e-12) << "sharded update drifted beyond FP noise";
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <functional>
+#include <ostream>
 
 #include "grad_check.hpp"
 #include "src/util/rng.hpp"
@@ -145,6 +146,10 @@ struct OpCase {
   double scale;  // input magnitude (keep away from kinks for relu/clamp)
   std::function<Var(Tape&, const std::vector<Var>&)> build;
 };
+
+// Without this, gtest prints the parameter as a raw byte dump that embeds
+// pointers, so the listed test names changed with every build under ASLR.
+void PrintTo(const OpCase& op, std::ostream* os) { *os << op.name; }
 
 class TapeGradient : public ::testing::TestWithParam<OpCase> {};
 

@@ -6,16 +6,18 @@
 # manual `cmake --preset ...` invocations share one source of truth. Each
 # preset keeps its own build tree (build-san-<preset>) so incremental
 # rebuilds stay cheap; only the parallel test binaries are built, and ctest
-# is filtered to the suites that exercise threads:
+# is filtered to the suites that exercise threads or raw-pointer hot paths
+# (ctest --no-tests=error makes a filter that matches nothing fail):
 #
 #   ThreadPool / MergeRollouts / ParallelRollout / TscEnvClone   (rollouts)
 #   ParallelUpdate / UpdateModes / OptimizerCheckpoint / TrainerResume
-#                                                                (updates)
-#   InferencePath          (per-worker inference workspaces during rollouts)
+#                          (updates: sharded minibatches on the thread pool)
+#   InferencePath          (inference workspaces and the tape oracle over
+#                           collected rollouts)
 #   FleetBatched           (lockstep fleet engine: batched GEMM kernels, slab
 #                           state, baseline fleet eval — single-threaded but
 #                           heavy on raw-pointer row packing)
-#   InvariantSeeding       (worker-count-invariant seeding across the pool)
+#   InvariantSeeding       (replica-count-invariant seeding of the fleet)
 #   SimHotPath             (single-threaded, but the lazy-wait/active-set
 #                           pointer bookkeeping is what ASan/UBSan are for)
 #   SensorSnapshot         (head-epoch/pressure snapshot invalidation and the
@@ -40,7 +42,7 @@ set -euo pipefail
 
 SRC_DIR="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
 FILTER='ThreadPool|MergeRollouts|ParallelRollout|TscEnvClone|ParallelUpdate|UpdateModes|OptimizerCheckpoint|TrainerResume|InferencePath|FleetBatched|InvariantSeeding|SimHotPath|SensorSnapshot|SensorModel|KernelTiers|RunStore|FlatJson|Proc|AtomicCheckpoint|SweepExpansion|FleetEndToEnd|BackwardPath'
-TARGETS=(test_parallel_rollout test_parallel_update test_update_modes test_backward_path test_inference_path test_kernel_tiers test_invariant_seeding test_sim_hotpath test_sensor_model test_fleet_orchestrator tsc_fleet)
+TARGETS=(test_parallel_rollout test_parallel_update test_update_modes test_backward_path test_inference test_kernel_tiers test_invariant_seeding test_sim_hotpath test_sensor_model test_fleet_orchestrator tsc_fleet)
 
 run_one() {
   local preset="$1"
@@ -48,7 +50,7 @@ run_one() {
   echo "=== sanitizer preset: $preset (build dir: $build_dir) ==="
   (cd "$SRC_DIR" && cmake --preset "$preset")
   cmake --build "$build_dir" -j --target "${TARGETS[@]}"
-  (cd "$build_dir" && ctest -R "$FILTER" --output-on-failure)
+  (cd "$build_dir" && ctest -R "$FILTER" --no-tests=error --output-on-failure)
   echo "=== sanitizer preset: $preset OK ==="
 }
 
