@@ -1,6 +1,7 @@
 // Microbenchmarks for the substrates (google-benchmark): simulator step
-// throughput, tensor/tape costs, actor/critic forward passes, PPO update
-// minibatches, scenario construction, and the kernel-tier math kernels.
+// throughput, tensor/tape costs, the fused update's backward GEMMs,
+// actor/critic forward passes, PPO update minibatches, scenario
+// construction, and the kernel-tier math kernels.
 // These guard the design decisions in DESIGN.md section 4 (tape autodiff
 // overhead, link-queue step cost) and section 10 (fast-tier error budgets).
 //
@@ -24,6 +25,7 @@
 
 #include "src/core/actor.hpp"
 #include "src/core/critic.hpp"
+#include "src/nn/backward.hpp"
 #include "src/nn/gat.hpp"
 #include "src/nn/kernels.hpp"
 #include "src/nn/layers.hpp"
@@ -104,6 +106,63 @@ void BM_TensorMatmulTn(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * m * k * n);
 }
 BENCHMARK(BM_TensorMatmulTn)->Args({18, 36, 64})->Args({64, 128, 64});
+
+// The fused PPO update's two backward GEMMs (nn/backward.hpp), on the tiled
+// accumulate kernel, at the shapes one 128-row minibatch runs on the 6x6
+// grid (hidden 64, 4 * hidden = 256 LSTM gate columns, 8 policy logits,
+// 18 actor inputs). Args {m, k, n}: nt is dx [m,k] += dy [m,n] @ w [k,n]^T,
+// tn is dw [k,n] += x [m,k]^T @ dy [m,n]. Reported in ms per call and
+// GFLOP/s (2*m*k*n flops per call).
+void set_gemm_counters(benchmark::State& state, std::size_t m, std::size_t k,
+                       std::size_t n) {
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      2e-9 * static_cast<double>(m * k * n),
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+
+void BM_BackwardMatmulNt(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(2));
+  Rng rng(1);
+  nn::Tensor dy = nn::Tensor::zeros(m, n), w = nn::Tensor::zeros(k, n);
+  for (double& v : dy.values()) v = rng.normal();
+  for (double& v : w.values()) v = rng.normal();
+  nn::Tensor dx = nn::Tensor::zeros(m, k);
+  nn::BackwardWorkspace ws;
+  for (auto _ : state) {
+    ws.begin_pass();  // reuse the W^T slot, as the update does
+    nn::backward_matmul_nt_acc(ws, dx, dy, w);
+    benchmark::DoNotOptimize(dx.data());
+    benchmark::ClobberMemory();
+  }
+  set_gemm_counters(state, m, k, n);
+}
+BENCHMARK(BM_BackwardMatmulNt)
+    ->Args({128, 64, 256})  // LSTM input gradient: dgates @ w_x^T
+    ->Args({128, 64, 8})    // policy head: dlogits @ w^T
+    ->Unit(benchmark::kMillisecond);
+
+void BM_BackwardMatmulTn(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(2));
+  Rng rng(1);
+  nn::Tensor x = nn::Tensor::zeros(m, k), dy = nn::Tensor::zeros(m, n);
+  for (double& v : x.values()) v = rng.normal();
+  for (double& v : dy.values()) v = rng.normal();
+  nn::Tensor dw = nn::Tensor::zeros(k, n);
+  for (auto _ : state) {
+    nn::backward_matmul_tn_acc(dw, x, dy);
+    benchmark::DoNotOptimize(dw.data());
+    benchmark::ClobberMemory();
+  }
+  set_gemm_counters(state, m, k, n);
+}
+BENCHMARK(BM_BackwardMatmulTn)
+    ->Args({128, 64, 256})  // LSTM weight gradients: x^T @ dgates
+    ->Args({128, 18, 64})   // actor embed weight gradient: input^T @ dembed
+    ->Unit(benchmark::kMillisecond);
 
 void BM_MlpForwardBackward(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));

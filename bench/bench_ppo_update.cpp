@@ -8,7 +8,7 @@
 // front — the collection path does not depend on the update
 // configuration), so rounds differ only in shard count and backward path.
 // Batched shards track the serial weight trajectory within FP noise
-// (tests/test_update_modes.cpp); the fused path is bit-identical to the
+// (tests/test_sharded_update.cpp); the fused path is bit-identical to the
 // tape at every shard count (tests/test_backward_path.cpp).
 //
 // Two distinct speedup sources, worth separating when reading results:

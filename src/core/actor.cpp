@@ -116,13 +116,14 @@ void CoordinatedActor::backward_train(nn::BackwardWorkspace& ws,
   // message head contributes exact zeros everywhere (see forward_train), so
   // the LSTM state gradient is the policy head's alone.
   Tensor& dh = ws.acquire_zeroed(rows, hidden_);
-  policy_head_->backward_train(*acts.lstm.h, dlogits, *sinks[5], *sinks[6], &dh);
+  policy_head_->backward_train(ws, *acts.lstm.h, dlogits, *sinks[5], *sinks[6],
+                               &dh);
   Tensor& dx = ws.acquire_zeroed(rows, hidden_);
   lstm_->backward_train(ws, *acts.x, *acts.h_in, *acts.c_in, acts.lstm, dh,
                         *sinks[2], *sinks[3], *sinks[4], &dx);
   Tensor& dembed = ws.acquire_zeroed(rows, hidden_);
   nn::tanh_backward_acc(dembed, dx, *acts.x);
-  embed_->backward_train(*acts.input, dembed, *sinks[0], *sinks[1], nullptr);
+  embed_->backward_train(ws, *acts.input, dembed, *sinks[0], *sinks[1], nullptr);
 }
 
 }  // namespace tsc::core

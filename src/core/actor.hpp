@@ -79,9 +79,8 @@ class CoordinatedActor : public tsc::nn::Module {
   /// w.r.t. the (masked) logits; parameter gradients accumulate into
   /// `sinks`, ordered exactly like parameters(): [embed.w, embed.b,
   /// lstm.w_x, lstm.w_h, lstm.bias, policy.w, policy.b, msg.w, msg.b]
-  /// (the last two are left untouched — see forward_train). Matmul weight
-  /// sinks must hold exactly +0.0. Bit-identical to Tape::backward over
-  /// forward()'s graph.
+  /// (the last two are left untouched — see forward_train). Bit-identical
+  /// to Tape::backward over forward()'s graph.
   void backward_train(tsc::nn::BackwardWorkspace& ws, const TrainActivations& acts,
                       const tsc::nn::Tensor& dlogits,
                       tsc::nn::Tensor* const* sinks) const;

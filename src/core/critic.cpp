@@ -63,13 +63,14 @@ void CentralizedCritic::backward_train(nn::BackwardWorkspace& ws,
                                        nn::Tensor* const* sinks) const {
   const std::size_t rows = dvalues.rows();
   nn::Tensor& dh = ws.acquire_zeroed(rows, hidden_);
-  value_head_->backward_train(*acts.lstm.h, dvalues, *sinks[5], *sinks[6], &dh);
+  value_head_->backward_train(ws, *acts.lstm.h, dvalues, *sinks[5], *sinks[6],
+                              &dh);
   nn::Tensor& dx = ws.acquire_zeroed(rows, hidden_);
   lstm_->backward_train(ws, *acts.x, *acts.h_in, *acts.c_in, acts.lstm, dh,
                         *sinks[2], *sinks[3], *sinks[4], &dx);
   nn::Tensor& dembed = ws.acquire_zeroed(rows, hidden_);
   nn::tanh_backward_acc(dembed, dx, *acts.x);
-  embed_->backward_train(*acts.input, dembed, *sinks[0], *sinks[1], nullptr);
+  embed_->backward_train(ws, *acts.input, dembed, *sinks[0], *sinks[1], nullptr);
 }
 
 }  // namespace tsc::core

@@ -62,8 +62,8 @@ class CentralizedCritic : public tsc::nn::Module {
   /// Analytic backward of forward_train(): `dvalues` [B, 1] is the loss
   /// gradient w.r.t. the value; parameter gradients accumulate into `sinks`
   /// in parameters() order: [embed.w, embed.b, lstm.w_x, lstm.w_h,
-  /// lstm.bias, value.w, value.b]. Matmul weight sinks must hold exactly
-  /// +0.0. Bit-identical to Tape::backward over forward()'s graph.
+  /// lstm.bias, value.w, value.b]. Bit-identical to Tape::backward over
+  /// forward()'s graph.
   void backward_train(tsc::nn::BackwardWorkspace& ws, const TrainActivations& acts,
                       const tsc::nn::Tensor& dvalues,
                       tsc::nn::Tensor* const* sinks) const;

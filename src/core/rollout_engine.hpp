@@ -87,7 +87,7 @@ struct PairUpConfig {
   /// The fold re-associates each weight gradient's row sum at shard
   /// boundaries, so sharded weights track the serial run within a pinned
   /// tolerance rather than bit for bit, and results depend on K
-  /// (core/update_engine.hpp, tests/test_update_modes.cpp).
+  /// (core/update_engine.hpp, tests/test_sharded_update.cpp).
   std::size_t num_update_shards = 1;
   /// Backward implementation of the PPO update (env: PAIRUP_UPDATE_PATH =
   /// tape|fused). kFused (default) runs the tape-free analytic backward —

@@ -59,11 +59,17 @@ void load_trainer_state(const std::string& path, std::size_t& episode,
     throw std::runtime_error("load_checkpoint: bad magic in " + path);
   if (read_u64() != kTrainerVersion)
     throw std::runtime_error("load_checkpoint: unsupported version in " + path);
-  episode = static_cast<std::size_t>(read_u64());
-  for (std::uint64_t& word : rng.s) word = read_u64();
-  in.read(reinterpret_cast<char*>(&rng.cached_normal), sizeof(rng.cached_normal));
-  rng.has_cached_normal = read_u64() != 0;
+  // Parse into locals and commit only after the whole record was read, so
+  // a truncated file leaves the caller's episode counter and RNG untouched.
+  const std::uint64_t staged_episode = read_u64();
+  Rng::State staged_rng;
+  for (std::uint64_t& word : staged_rng.s) word = read_u64();
+  in.read(reinterpret_cast<char*>(&staged_rng.cached_normal),
+          sizeof(staged_rng.cached_normal));
+  staged_rng.has_cached_normal = read_u64() != 0;
   if (!in) throw std::runtime_error("load_checkpoint: truncated file " + path);
+  episode = static_cast<std::size_t>(staged_episode);
+  rng = staged_rng;
 }
 
 }  // namespace

@@ -24,7 +24,7 @@
 // num_update_shards == 1 runs the historical batched minibatch update;
 // K > 1 shards each minibatch across K worker threads, one batched pass
 // per shard, and tracks the serial weights within a pinned tolerance
-// (tests/test_update_modes.cpp).
+// (tests/test_sharded_update.cpp).
 #pragma once
 
 #include <memory>

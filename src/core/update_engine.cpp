@@ -195,8 +195,8 @@ double serial_minibatch_update(UpdateContext& ctx,
 
   if (config.update_path == UpdatePath::kFused) {
     assert(ctx.backward != nullptr);
-    // zero_grad seeds every sink with exact +0.0, as the fused matmul_tn
-    // accumulation requires; clip + step are the tape path's own calls.
+    // The fused kernels accumulate, so the sinks start from zero_grad's
+    // +0.0 like the tape's; clip + step are the tape path's own calls.
     actor.zero_grad();
     critic.zero_grad();
     std::vector<Tensor*> sinks;

@@ -26,7 +26,7 @@
 // for a fixed shard count (shards are folded in index order on one thread)
 // but only tolerance-bounded against the serial fold, which is why the
 // sharded update has a pinned numerical-equivalence test
-// (tests/test_update_modes.cpp) rather than a bitwise golden.
+// (tests/test_sharded_update.cpp) rather than a bitwise golden.
 //
 // The backward implementation is orthogonal to sharding (UpdatePath,
 // default kFused): the fused path computes the same gradients with

@@ -1,7 +1,8 @@
 // Backward kernels for the tape-free training path. Every loop replays the
-// corresponding Tape backward closure (nn/tape.cpp) and the matmul_nt /
-// matmul_tn kernels (nn/tensor.cpp) expression-for-expression — see the
-// contract in backward.hpp. Built with the tensor.cpp flag set
+// corresponding Tape backward closure (nn/tape.cpp) expression for
+// expression, and the two GEMM backwards run nn::matmul_acc_strided, whose
+// chains equal matmul_nt's / matmul_tn's (nn/tensor.cpp) — see the contract
+// in backward.hpp. Built with the tensor.cpp flag set
 // (-O3 -march=native -ffp-contract=off) so vectorization never introduces
 // FMA contraction or reassociation.
 #include "src/nn/backward.hpp"
@@ -11,49 +12,31 @@
 
 namespace tsc::nn {
 
-void backward_matmul_nt_acc(Tensor& dx, const Tensor& dy, const Tensor& w) {
+void backward_matmul_nt_acc(BackwardWorkspace& ws, Tensor& dx, const Tensor& dy,
+                            const Tensor& w) {
   const std::size_t m = dy.rows();
   const std::size_t n = dy.cols();
   const std::size_t k = w.rows();  // dx is [m, k], w is [k, n]
-  const double* pg = dy.data();
+  // dy @ w^T is the row-major product dy @ wt with wt = w^T [n, k]; the
+  // chain for dx[i][j] runs over p = 0..n-1 exactly like matmul_nt's dot.
+  Tensor& wt = ws.acquire(n, k);
   const double* pw = w.data();
-  double* po = dx.data();
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* grow = pg + i * n;
-    double* orow = po + i * k;
-    for (std::size_t j = 0; j < k; ++j) {
-      // matmul_nt's sequential ascending dot, then the tape's single +=.
-      const double* wrow = pw + j * n;
-      double s = 0.0;
-      for (std::size_t p = 0; p < n; ++p) {
-        s += grow[p] * wrow[p];
-      }
-      orow[j] += s;
+  double* pt = wt.data();
+  for (std::size_t j = 0; j < k; ++j) {
+    for (std::size_t p = 0; p < n; ++p) {
+      pt[p * k + j] = pw[j * n + p];
     }
   }
+  matmul_acc_strided(dx.data(), dy.data(), n, 1, pt, m, n, k);
 }
 
 void backward_matmul_tn_acc(Tensor& dw, const Tensor& x, const Tensor& dy) {
   const std::size_t m = x.rows();
   const std::size_t k = x.cols();  // dw is [k, n]
   const std::size_t n = dy.cols();
-  const double* px = x.data();
-  const double* pg = dy.data();
-  double* po = dw.data();
-  for (std::size_t p = 0; p < m; ++p) {
-    const double* xrow = px + p * k;
-    const double* grow = pg + p * n;
-    for (std::size_t i = 0; i < k; ++i) {
-      const double xpi = xrow[i];
-      if (xpi == 0.0) {
-        continue;  // matmul_tn's zero-skip on the activation
-      }
-      double* orow = po + i * n;
-      for (std::size_t j = 0; j < n; ++j) {
-        orow[j] += xpi * grow[j];
-      }
-    }
-  }
+  // A = x^T: A(i,p) = x[p][i], so row stride 1 and column stride k; for
+  // each batch row p a tile's rows are contiguous in x.
+  matmul_acc_strided(dw.data(), x.data(), 1, k, dy.data(), k, m, n);
 }
 
 void backward_bias_acc(Tensor& db, const Tensor& dy) {

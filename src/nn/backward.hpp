@@ -14,17 +14,22 @@
 // caller's gradient sinks.
 //
 // Bit-identity contract. Every kernel replays the corresponding Tape
-// backward closure's loop structure exactly:
-//   * backward_matmul_nt_acc runs matmul_nt's sequential ascending-k dot
-//     per output element and then adds the result — the same value the
-//     tape's `grad += matmul_nt(g, B)` contributes, in the same order.
-//   * backward_matmul_tn_acc runs matmul_tn's p-outer accumulation
-//     (ascending batch rows, zero-skip on the activation) directly into the
-//     sink. The sink must hold exactly +0.0 where this product is its first
-//     contribution (all call sites: parameters are consumed once per
-//     forward), which makes direct accumulation bitwise equal to the tape's
-//     temp-then-+= — a +0.0-seeded running sum can never become -0.0, so
-//     the tape's extra `0.0 + temp` add is the identity.
+// backward closure's floating-point operations exactly:
+//   * Both GEMM backwards run one accumulate kernel, nn::matmul_acc_strided
+//     (the forward's 8x16 register tile with an add epilogue): each output
+//     element is an ascending-k chain of separately rounded multiplies and
+//     adds, started from +0.0, and added to the sink once. That is the
+//     value, in the order, of the tape's `grad += matmul_nt(g, B)`
+//     (backward_matmul_nt_acc, on a W^T staged in a workspace slot) and
+//     `grad += matmul_tn(A, g)` (backward_matmul_tn_acc, reading the
+//     activation column-wise without a transpose). Sinks may hold prior
+//     contributions: the chain is finished before it touches the sink.
+//   * matmul_tn skips zero activations; the tiles do not. For finite
+//     operands the two agree bit for bit: a +0.0-seeded chain never becomes
+//     -0.0 (under round-to-nearest only (-0)+(-0) yields -0.0), and adding
+//     a +-0.0 product to a sum that is not -0.0 leaves it unchanged. The
+//     same argument covers the ragged-tail loop, which keeps the skip, and
+//     matmul_nt, which never skips (nn/tensor.cpp).
 //   * The element-wise kernels use the tape closures' exact expressions and
 //     association (e.g. sigmoid: `(g*y)*(1-y)`; square: `(2*g)*va`).
 // Intermediate node gradients in the tape are materialized as
@@ -98,16 +103,15 @@ class BackwardWorkspace {
 // ---- backward kernels (loops mirror the Tape backward closures) ----
 
 /// dx [m,k] += dy [m,n] @ w [k,n]^T — the input-gradient half of
-/// Tape::matmul's backward (`grad += matmul_nt(g, B)`). Safe on sinks with
-/// prior contributions: matmul_nt forms each element with one sequential
-/// dot and the tape adds it in a single +=, which this kernel replays.
-void backward_matmul_nt_acc(Tensor& dx, const Tensor& dy, const Tensor& w);
+/// Tape::matmul's backward (`grad += matmul_nt(g, B)`). Stages w^T in the
+/// next slot of `ws` (workspace state, never static: every shard worker owns
+/// its workspace), then runs the tiled accumulate kernel.
+void backward_matmul_nt_acc(BackwardWorkspace& ws, Tensor& dx, const Tensor& dy,
+                            const Tensor& w);
 
 /// dw [j,n] += x [m,j]^T @ dy [m,n] — the weight-gradient half of
-/// Tape::matmul's backward (`grad += matmul_tn(A, g)`), replaying
-/// matmul_tn's p-outer ascending-row accumulation with its zero-skip on
-/// the activation. `dw` must hold exactly +0.0 wherever this product is
-/// its first contribution (see file comment).
+/// Tape::matmul's backward (`grad += matmul_tn(A, g)`), on the tiled
+/// accumulate kernel reading x column-wise.
 void backward_matmul_tn_acc(Tensor& dw, const Tensor& x, const Tensor& dy);
 
 /// db [n] += column sums of dy [m,n], rows ascending — Tape::add's rank-1

@@ -152,10 +152,10 @@ void GatLayer::backward_train(BackwardWorkspace& ws, const Tensor& entities,
   Tensor& dz = ws.acquire_zeroed(1, out_dim_);
   relu_backward_acc(dz, dout, *trace.out);
   Tensor& dmixed = ws.acquire_zeroed(1, out_dim_);
-  w_out_->backward_train(*trace.mixed, dz, *sinks[6], *sinks[7], &dmixed);
+  w_out_->backward_train(ws, *trace.mixed, dz, *sinks[6], *sinks[7], &dmixed);
   // mixed = alpha @ vals.
   Tensor& dalpha = ws.acquire_zeroed(1, max_entities_);
-  backward_matmul_nt_acc(dalpha, dmixed, *trace.vals);
+  backward_matmul_nt_acc(ws, dalpha, dmixed, *trace.vals);
   Tensor& dvals = ws.acquire_zeroed(max_entities_, out_dim_);
   backward_matmul_tn_acc(dvals, *trace.alpha, dmixed);
   // softmax, then the per-entity score chains in descending creation order.
@@ -183,12 +183,13 @@ void GatLayer::backward_train(BackwardWorkspace& ws, const Tensor& entities,
   // entity gradient accumulates values-term first, then keys-term, then the
   // select_row scatter of the self-row gradient — the tape's exact order.
   Tensor* dself = nullptr;
-  w_value_->backward_train(entities, dvals, *sinks[4], *sinks[5], dentities);
-  w_key_->backward_train(entities, dkeys, *sinks[2], *sinks[3], dentities);
+  w_value_->backward_train(ws, entities, dvals, *sinks[4], *sinks[5], dentities);
+  w_key_->backward_train(ws, entities, dkeys, *sinks[2], *sinks[3], dentities);
   if (dentities != nullptr) {
     dself = &ws.acquire_zeroed(1, entity_dim_);
   }
-  w_query_->backward_train(*trace.self_row, dquery, *sinks[0], *sinks[1], dself);
+  w_query_->backward_train(ws, *trace.self_row, dquery, *sinks[0], *sinks[1],
+                           dself);
   if (dentities != nullptr) {
     double* drow0 = dentities->data();
     const double* ds = dself->data();

@@ -63,8 +63,8 @@ class GatLayer : public Module {
 
   /// Analytic backward: `dout` is the [1, out_dim] output gradient;
   /// parameter gradients accumulate into `sinks` in parameters() order
-  /// ([wq.w, wq.b, wk.w, wk.b, wv.w, wv.b, wo.w, wo.b], weight sinks
-  /// exactly +0.0); when dentities != nullptr, dentities += gradient w.r.t.
+  /// ([wq.w, wq.b, wk.w, wk.b, wv.w, wv.b, wo.w, wo.b]); when
+  /// dentities != nullptr, dentities += gradient w.r.t.
   /// the entity rows. Bit-identical to the tape's backward, including the
   /// accumulation order of the three entity-gradient contributions
   /// (values term, keys term, then the self-row scatter) and the exactly

@@ -55,13 +55,14 @@ const Tensor& Linear::forward_inference(InferenceWorkspace& ws,
   return out;
 }
 
-void Linear::backward_train(const Tensor& x, const Tensor& dy, Tensor& dw_sink,
-                            Tensor& db_sink, Tensor* dx) const {
+void Linear::backward_train(BackwardWorkspace& ws, const Tensor& x,
+                            const Tensor& dy, Tensor& dw_sink, Tensor& db_sink,
+                            Tensor* dx) const {
   assert(x.cols() == in_ && dy.cols() == out_ && x.rows() == dy.rows());
   // Tape order: the add node's backward (bias row sums) runs before the
   // matmul node's — the sinks are disjoint, but keep the order anyway.
   backward_bias_acc(db_sink, dy);
-  if (dx != nullptr) backward_matmul_nt_acc(*dx, dy, weight.value);
+  if (dx != nullptr) backward_matmul_nt_acc(ws, *dx, dy, weight.value);
   backward_matmul_tn_acc(dw_sink, x, dy);
 }
 
@@ -147,7 +148,7 @@ void Mlp::backward_train(BackwardWorkspace& ws, const TrainTrace& trace,
     } else {
       din = dx;
     }
-    layers_[i]->backward_train(in, *g, *sinks[2 * i], *sinks[2 * i + 1], din);
+    layers_[i]->backward_train(ws, in, *g, *sinks[2 * i], *sinks[2 * i + 1], din);
     if (i == 0) break;
     if (act_ == Activation::kNone) {  // no activation node on the tape either
       g = din;
@@ -393,7 +394,7 @@ void LstmCell::backward_train(BackwardWorkspace& ws, const Tensor& x,
   // discarded constants are skipped.
   backward_bias_acc(dbias_sink, dgates);
   backward_matmul_tn_acc(dwh_sink, h, dgates);
-  if (dx != nullptr) backward_matmul_nt_acc(*dx, dgates, w_x.value);
+  if (dx != nullptr) backward_matmul_nt_acc(ws, *dx, dgates, w_x.value);
   backward_matmul_tn_acc(dwx_sink, x, dgates);
 }
 

@@ -30,11 +30,11 @@ class Linear : public Module {
 
   /// Analytic backward of forward(): given the forward input `x` and the
   /// output gradient `dy`, accumulates db += column sums of dy and
-  /// dW += x^T @ dy into the sinks (dw_sink must hold exactly +0.0 — see
-  /// backward.hpp), and, when dx != nullptr, dx += dy @ W^T. Bit-identical
-  /// to the tape's add/matmul backward closures.
-  void backward_train(const Tensor& x, const Tensor& dy, Tensor& dw_sink,
-                      Tensor& db_sink, Tensor* dx) const;
+  /// dW += x^T @ dy into the sinks, and, when dx != nullptr,
+  /// dx += dy @ W^T (W^T is staged in a slot of `ws`). Bit-identical to the
+  /// tape's add/matmul backward closures (see backward.hpp).
+  void backward_train(BackwardWorkspace& ws, const Tensor& x, const Tensor& dy,
+                      Tensor& dw_sink, Tensor& db_sink, Tensor* dx) const;
 
   std::size_t in_features() const { return in_; }
   std::size_t out_features() const { return out_; }
@@ -75,8 +75,8 @@ class Mlp : public Module {
                               TrainTrace& trace) const;
 
   /// Analytic backward: `dy` is the output gradient; parameter gradients
-  /// accumulate into `sinks` ([w0, b0, w1, b1, ...] in parameters() order,
-  /// weight sinks exactly +0.0); when dx != nullptr, dx += gradient w.r.t.
+  /// accumulate into `sinks` ([w0, b0, w1, b1, ...] in parameters()
+  /// order); when dx != nullptr, dx += gradient w.r.t.
   /// the forward input. Bit-identical to the tape.
   void backward_train(BackwardWorkspace& ws, const TrainTrace& trace,
                       const Tensor& dy, Tensor* const* sinks, Tensor* dx) const;
@@ -169,8 +169,8 @@ class LstmCell : public Module {
 
   /// Analytic backward for graphs where downstream consumes only h_new
   /// (the external c_new gradient is exactly zero). `dh` is the incoming
-  /// h_new gradient; parameter gradients accumulate into the sinks (matmul
-  /// sinks exactly +0.0); when dx != nullptr, dx += gradient w.r.t. x.
+  /// h_new gradient; parameter gradients accumulate into the sinks; when
+  /// dx != nullptr, dx += gradient w.r.t. x.
   /// Gradients w.r.t. h/c (constant inputs in the training graphs) are not
   /// produced. Bit-identical to the tape's backward.
   void backward_train(BackwardWorkspace& ws, const Tensor& x, const Tensor& h,

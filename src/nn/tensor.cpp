@@ -109,54 +109,188 @@ std::string Tensor::to_string() const {
   return os.str();
 }
 
-// The three matmul variants below are the RL stack's hottest kernels
-// (every Linear/LSTM forward and backward lands here at sizes like
-// [36,18]x[18,64]). They all run loop order i-k-j (unit-stride inner loop,
-// accumulation into one hoisted output row) with row pointers hoisted out
-// of the inner loops so the optimizer sees plain pointer arithmetic instead
-// of repeated at() index math.
+// The matmul kernels below are the RL stack's hottest code: every Linear/LSTM
+// forward and both backward GEMMs of the fused PPO update land here, at
+// sizes like [36,18]x[18,64] (rollout) and [128,256]x[256,64] (update).
+// They share one contract: every output element is an ascending-p chain of
+// separately rounded multiplies and adds, started from +0.0, and then
+// either stored (the forward) or added to the output once (the backward,
+// replaying the tape's `grad += matmul_nt(g, B)` / `grad += matmul_tn(A, g)`).
+// Any tiling that keeps those per-element chains is bit-identical, so the
+// forward, nt and tn all run the same tile body; they differ only in how A
+// is addressed (see Operands) and in the epilogue. This translation unit
+// builds with -ffp-contract=off, so no FMA contraction on any kernel.
+//
+// Zero-skip equivalence (for FINITE operands): the reference loop skips
+// contributions where A(i,p) == 0.0, the vector tiles add them. Under
+// round-to-nearest the only additive producer of -0.0 is (-0)+(-0), so a
+// running sum seeded with +0.0 never becomes -0.0 — and adding a +-0.0
+// product (A(i,p) == 0, B(p,j) finite) to a sum that is not -0.0 returns
+// the sum unchanged. The same argument makes the skip invisible against
+// matmul_nt (which never skips) and lets matmul_tn's skip be dropped. With
+// a non-finite B (0 * inf = NaN) the paths could diverge, but network
+// parameters and their gradients are finite in every run that trains.
+// tests/test_inference.cpp (forward) and tests/test_backward_kernels.cpp
+// (backward) pin all of it.
 
 namespace {
 
-// The reference row loop shared by matmul_into (all rows) and
-// matmul_into_batched (row/column tails), on raw row-major pointers:
+// Operands of one product out [m,n] (+)= A [m,k] · B [k,n]. A is read
+// through two strides, A(i,p) = a[i * a_row + p * a_col], so the same tile
+// serves a row-major A (a_row = k, a_col = 1) and the transpose of a
+// row-major X [k,m] (a_row = 1, a_col = m: for each p the tile's rows are
+// contiguous). B and out are row-major.
+struct Operands {
+  double* out;
+  const double* a;
+  std::size_t a_row, a_col;
+  const double* b;
+  std::size_t k, n;
+};
+
+// kStore: out = chain (the forward). kAdd: out += chain (the backward).
+enum class Epilogue { kStore, kAdd };
+
+template <Epilogue E>
+inline void finish(double& o, double chain) {
+  if constexpr (E == Epilogue::kStore) {
+    o = chain;
+  } else {
+    o += chain;
+  }
+}
+
+// The reference loop over rows [i_begin, i_end) and columns [j_begin, n):
 // register-blocked i-(j-block)-p with each output block accumulating in a
 // fixed-size local array (mapped to vector registers), so the inner loop
-// does one load per contribution instead of load+load+store. Every
-// out[i][j] receives its contributions in ascending-p order with separate
-// mul/add rounding and the zero-skip, bit-identical to the straight i-k-j
-// loop this replaced (the golden tests pin that).
-void reference_rows(double* __restrict__ po, const double* __restrict__ pa,
-                    const double* __restrict__ pb, std::size_t m,
-                    std::size_t k, std::size_t n) {
+// does one load per contribution instead of load+load+store, plus the
+// zero-skip on A. matmul_into runs it over the whole product; the tiled
+// kernel runs it over its ragged row and column tails.
+template <Epilogue E>
+void reference_block(const Operands& g, std::size_t i_begin, std::size_t i_end,
+                     std::size_t j_begin) {
+  const std::size_t n = g.n;
   constexpr std::size_t kBlock = 8;
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* __restrict__ arow = pa + i * k;
-    double* __restrict__ orow = po + i * n;
-    std::size_t j0 = 0;
+  for (std::size_t i = i_begin; i < i_end; ++i) {
+    const double* __restrict__ arow = g.a + i * g.a_row;
+    double* __restrict__ orow = g.out + i * n;
+    std::size_t j0 = j_begin;
     for (; j0 + kBlock <= n; j0 += kBlock) {
       double acc[kBlock] = {0.0};
-      for (std::size_t p = 0; p < k; ++p) {
-        const double aip = arow[p];
+      for (std::size_t p = 0; p < g.k; ++p) {
+        const double aip = arow[p * g.a_col];
         // Skip zero multipliers: observations are padded/one-hot, so whole
         // rows of the input batch are sparse in practice.
         if (aip == 0.0) continue;
-        const double* __restrict__ brow = pb + p * n + j0;
+        const double* __restrict__ brow = g.b + p * n + j0;
         for (std::size_t jj = 0; jj < kBlock; ++jj) acc[jj] += aip * brow[jj];
       }
-      for (std::size_t jj = 0; jj < kBlock; ++jj) orow[j0 + jj] = acc[jj];
+      for (std::size_t jj = 0; jj < kBlock; ++jj) finish<E>(orow[j0 + jj], acc[jj]);
     }
-    for (; j0 < n; ++j0) {  // ragged tail (n not a multiple of kBlock)
+    for (; j0 < n; ++j0) {  // ragged tail (fewer than kBlock columns)
       double acc = 0.0;
-      for (std::size_t p = 0; p < k; ++p) {
-        const double aip = arow[p];
+      for (std::size_t p = 0; p < g.k; ++p) {
+        const double aip = arow[p * g.a_col];
         if (aip == 0.0) continue;
-        acc += aip * pb[p * n + j0];
+        acc += aip * g.b[p * n + j0];
       }
-      orow[j0] = acc;
+      finish<E>(orow[j0], acc);
     }
   }
 }
+
+#if defined(__AVX512F__)
+
+// Why tiles: the reference loop's single-row j-block gives each output row
+// only ~2 vector accumulator chains, so on one hardware thread the add
+// ports sit mostly idle. Blocking over ROWS as well (8 rows x 16 columns)
+// creates 16 independent accumulator chains — measured ~3.4-3.9x on the
+// rollout's [B,64]x[64,256] LSTM GEMMs at fleet batch sizes.
+constexpr std::size_t kTileRows = 8;
+
+// One 8-row x (8 * kVecs)-column tile: zmm accumulators, explicit mul then
+// add (NO fused multiply-add — rounding must match the reference loop).
+template <Epilogue E, std::size_t kVecs>
+inline void tile(const Operands& g, std::size_t i0, std::size_t j0) {
+  __m512d acc[kTileRows][kVecs];
+  for (std::size_t r = 0; r < kTileRows; ++r)
+    for (std::size_t v = 0; v < kVecs; ++v) acc[r][v] = _mm512_setzero_pd();
+  const double* __restrict__ a0 = g.a + i0 * g.a_row;
+  for (std::size_t p = 0; p < g.k; ++p) {
+    const double* __restrict__ brow = g.b + p * g.n + j0;
+    __m512d bv[kVecs];
+    for (std::size_t v = 0; v < kVecs; ++v) bv[v] = _mm512_loadu_pd(brow + 8 * v);
+    const double* __restrict__ ap = a0 + p * g.a_col;
+    for (std::size_t r = 0; r < kTileRows; ++r) {
+      const __m512d av = _mm512_set1_pd(ap[r * g.a_row]);
+      for (std::size_t v = 0; v < kVecs; ++v)
+        acc[r][v] = _mm512_add_pd(acc[r][v], _mm512_mul_pd(av, bv[v]));
+    }
+  }
+  for (std::size_t r = 0; r < kTileRows; ++r) {
+    double* __restrict__ orow = g.out + (i0 + r) * g.n + j0;
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      if constexpr (E == Epilogue::kStore) {
+        _mm512_storeu_pd(orow + 8 * v, acc[r][v]);
+      } else {
+        _mm512_storeu_pd(orow + 8 * v,
+                         _mm512_add_pd(_mm512_loadu_pd(orow + 8 * v), acc[r][v]));
+      }
+    }
+  }
+}
+
+// 8x16 tiles (two column vectors per row — better load/ALU overlap than
+// 8x8 when n allows it), then 8x8, then the reference loop on the tails.
+template <Epilogue E>
+void tiled(const Operands& g, std::size_t m) {
+  std::size_t i0 = 0;
+  for (; i0 + kTileRows <= m; i0 += kTileRows) {
+    std::size_t j0 = 0;
+    for (; j0 + 16 <= g.n; j0 += 16) tile<E, 2>(g, i0, j0);
+    for (; j0 + 8 <= g.n; j0 += 8) tile<E, 1>(g, i0, j0);
+    if (j0 < g.n) reference_block<E>(g, i0, i0 + kTileRows, j0);
+  }
+  if (i0 < m) reference_block<E>(g, i0, m, 0);
+}
+
+#else  // !__AVX512F__
+
+// Portable fallback: 4-row x 8-column blocking with the reference loop's
+// zero-skip kept per row. Same ascending-p per-element chains, so
+// bit-identical to the reference loop without needing the +-0.0 argument.
+constexpr std::size_t kTileRows = 4;
+
+template <Epilogue E>
+void tiled(const Operands& g, std::size_t m) {
+  constexpr std::size_t kBlock = 8;
+  const std::size_t n = g.n;
+  std::size_t i0 = 0;
+  for (; i0 + kTileRows <= m; i0 += kTileRows) {
+    const double* __restrict__ a0 = g.a + i0 * g.a_row;
+    std::size_t j0 = 0;
+    for (; j0 + kBlock <= n; j0 += kBlock) {
+      double c[kTileRows][kBlock] = {};
+      for (std::size_t p = 0; p < g.k; ++p) {
+        const double* __restrict__ brow = g.b + p * n + j0;
+        const double* __restrict__ ap = a0 + p * g.a_col;
+        for (std::size_t r = 0; r < kTileRows; ++r) {
+          const double v = ap[r * g.a_row];
+          if (v == 0.0) continue;
+          for (std::size_t jj = 0; jj < kBlock; ++jj) c[r][jj] += v * brow[jj];
+        }
+      }
+      for (std::size_t r = 0; r < kTileRows; ++r) {
+        double* __restrict__ orow = g.out + (i0 + r) * n + j0;
+        for (std::size_t jj = 0; jj < kBlock; ++jj) finish<E>(orow[jj], c[r][jj]);
+      }
+    }
+    if (j0 < n) reference_block<E>(g, i0, i0 + kTileRows, j0);
+  }
+  if (i0 < m) reference_block<E>(g, i0, m, 0);
+}
+
+#endif  // __AVX512F__
 
 }  // namespace
 
@@ -166,7 +300,8 @@ void matmul_into(Tensor& out, const Tensor& a, const Tensor& b) {
   const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
   assert(b.rows() == k);
   out.reshape(m, n);
-  reference_rows(out.data(), a.data(), b.data(), m, k, n);
+  reference_block<Epilogue::kStore>({out.data(), a.data(), k, 1, b.data(), k, n},
+                                    0, m, 0);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
@@ -177,81 +312,8 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
 
 void matmul_rows_into(double* out, const double* a, const double* b,
                       std::size_t m, std::size_t k, std::size_t n) {
-  reference_rows(out, a, b, m, k, n);
+  reference_block<Epilogue::kStore>({out, a, k, 1, b, k, n}, 0, m, 0);
 }
-
-// matmul_into_batched: the fleet-batched GEMM.
-//
-// Why a second kernel: matmul_into's single-row j-block gives each output
-// row only ~2 vector accumulator chains, so on one hardware thread the FMA
-// ports sit mostly idle. Blocking over ROWS as well (8 rows x 16 cols below)
-// creates enough independent accumulator chains to approach port saturation
-// — measured ~3.4-3.9x on the rollout path's dominant [B,64]x[64,256] LSTM
-// GEMMs once B reaches fleet sizes (num_envs * num_agents rows).
-//
-// Bit-identity argument (vs matmul_into, for FINITE a and b):
-//  * Every out[i][j] accumulates its k contributions in ascending-p order
-//    with separate mul/add rounding, exactly like matmul_into (both kernels
-//    build with -ffp-contract=off, so the compiler cannot fuse them).
-//  * matmul_into additionally SKIPS contributions where a[i][p] == 0.0;
-//    this kernel adds them. The two are bitwise equivalent: under
-//    round-to-nearest the only additive producer of -0.0 is (-0)+(-0), so a
-//    running sum seeded with +0.0 can never become -0.0 — and adding a
-//    +-0.0 product (a[i][p] == 0, b finite) to a sum that is not -0.0
-//    returns the sum unchanged. With a non-finite b (0 * inf = NaN) the
-//    paths could diverge, but network parameters are finite by
-//    construction. tests/test_inference.cpp pins the equivalence.
-//  * Row blocks below 8 and ragged columns delegate to matmul_into's exact
-//    loops (skip included), which are bit-identical per the above.
-
-#if defined(__AVX512F__)
-
-namespace {
-
-// One 8-row x 8-column tile: zmm accumulators, explicit mul then add (NO
-// fused multiply-add — rounding must match the scalar kernel).
-inline void fleet_tile_8x8(double* __restrict__ po, const double* __restrict__ pa,
-                           const double* __restrict__ pb, std::size_t i0,
-                           std::size_t j0, std::size_t k, std::size_t n) {
-  __m512d acc[8];
-  for (std::size_t r = 0; r < 8; ++r) acc[r] = _mm512_setzero_pd();
-  for (std::size_t p = 0; p < k; ++p) {
-    const __m512d brow = _mm512_loadu_pd(pb + p * n + j0);
-    for (std::size_t r = 0; r < 8; ++r) {
-      const __m512d av = _mm512_set1_pd(pa[(i0 + r) * k + p]);
-      acc[r] = _mm512_add_pd(acc[r], _mm512_mul_pd(av, brow));
-    }
-  }
-  for (std::size_t r = 0; r < 8; ++r)
-    _mm512_storeu_pd(po + (i0 + r) * n + j0, acc[r]);
-}
-
-// One 8-row x 16-column tile (two column vectors per row — better load/ALU
-// overlap than 8x8 when n allows it).
-inline void fleet_tile_8x16(double* __restrict__ po, const double* __restrict__ pa,
-                            const double* __restrict__ pb, std::size_t i0,
-                            std::size_t j0, std::size_t k, std::size_t n) {
-  __m512d acc[8][2];
-  for (std::size_t r = 0; r < 8; ++r) {
-    acc[r][0] = _mm512_setzero_pd();
-    acc[r][1] = _mm512_setzero_pd();
-  }
-  for (std::size_t p = 0; p < k; ++p) {
-    const __m512d b0 = _mm512_loadu_pd(pb + p * n + j0);
-    const __m512d b1 = _mm512_loadu_pd(pb + p * n + j0 + 8);
-    for (std::size_t r = 0; r < 8; ++r) {
-      const __m512d av = _mm512_set1_pd(pa[(i0 + r) * k + p]);
-      acc[r][0] = _mm512_add_pd(acc[r][0], _mm512_mul_pd(av, b0));
-      acc[r][1] = _mm512_add_pd(acc[r][1], _mm512_mul_pd(av, b1));
-    }
-  }
-  for (std::size_t r = 0; r < 8; ++r) {
-    _mm512_storeu_pd(po + (i0 + r) * n + j0, acc[r][0]);
-    _mm512_storeu_pd(po + (i0 + r) * n + j0 + 8, acc[r][1]);
-  }
-}
-
-}  // namespace
 
 void matmul_into_batched(Tensor& out, const Tensor& a, const Tensor& b) {
   assert(a.rank() == 2 && b.rank() == 2);
@@ -259,87 +321,14 @@ void matmul_into_batched(Tensor& out, const Tensor& a, const Tensor& b) {
   const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
   assert(b.rows() == k);
   out.reshape(m, n);
-  const double* __restrict__ pa = a.data();
-  const double* __restrict__ pb = b.data();
-  double* __restrict__ po = out.data();
-  std::size_t i0 = 0;
-  for (; i0 + 8 <= m; i0 += 8) {
-    std::size_t j0 = 0;
-    for (; j0 + 16 <= n; j0 += 16) fleet_tile_8x16(po, pa, pb, i0, j0, k, n);
-    for (; j0 + 8 <= n; j0 += 8) fleet_tile_8x8(po, pa, pb, i0, j0, k, n);
-    for (; j0 < n; ++j0) {  // ragged column tail: matmul_into's exact loop
-      for (std::size_t r = 0; r < 8; ++r) {
-        const double* __restrict__ arow = pa + (i0 + r) * k;
-        double acc = 0.0;
-        for (std::size_t p = 0; p < k; ++p) {
-          const double aip = arow[p];
-          if (aip == 0.0) continue;
-          acc += aip * pb[p * n + j0];
-        }
-        po[(i0 + r) * n + j0] = acc;
-      }
-    }
-  }
-  if (i0 < m)  // row tail (< 8 rows): the reference kernel, no allocation
-    reference_rows(po + i0 * n, pa + i0 * k, pb, m - i0, k, n);
+  tiled<Epilogue::kStore>({out.data(), a.data(), k, 1, b.data(), k, n}, m);
 }
 
-#else  // !__AVX512F__
-
-void matmul_into_batched(Tensor& out, const Tensor& a, const Tensor& b) {
-  // Portable fallback: 4-row x 8-column blocking with the reference
-  // kernel's zero-skip kept per row. Same ascending-p per-element order, so
-  // bit-identical to matmul_into without needing the +-0.0 argument above.
-  assert(a.rank() == 2 && b.rank() == 2);
-  assert(&out != &a && &out != &b);
-  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-  assert(b.rows() == k);
-  out.reshape(m, n);
-  const double* __restrict__ pa = a.data();
-  const double* __restrict__ pb = b.data();
-  double* __restrict__ po = out.data();
-  constexpr std::size_t kBlock = 8;
-  std::size_t i0 = 0;
-  for (; i0 + 4 <= m; i0 += 4) {
-    const double* __restrict__ a0 = pa + (i0 + 0) * k;
-    const double* __restrict__ a1 = pa + (i0 + 1) * k;
-    const double* __restrict__ a2 = pa + (i0 + 2) * k;
-    const double* __restrict__ a3 = pa + (i0 + 3) * k;
-    std::size_t j0 = 0;
-    for (; j0 + kBlock <= n; j0 += kBlock) {
-      double c0[kBlock] = {0.0}, c1[kBlock] = {0.0};
-      double c2[kBlock] = {0.0}, c3[kBlock] = {0.0};
-      for (std::size_t p = 0; p < k; ++p) {
-        const double* __restrict__ brow = pb + p * n + j0;
-        const double v0 = a0[p], v1 = a1[p], v2 = a2[p], v3 = a3[p];
-        if (v0 != 0.0) for (std::size_t jj = 0; jj < kBlock; ++jj) c0[jj] += v0 * brow[jj];
-        if (v1 != 0.0) for (std::size_t jj = 0; jj < kBlock; ++jj) c1[jj] += v1 * brow[jj];
-        if (v2 != 0.0) for (std::size_t jj = 0; jj < kBlock; ++jj) c2[jj] += v2 * brow[jj];
-        if (v3 != 0.0) for (std::size_t jj = 0; jj < kBlock; ++jj) c3[jj] += v3 * brow[jj];
-      }
-      for (std::size_t jj = 0; jj < kBlock; ++jj) po[(i0 + 0) * n + j0 + jj] = c0[jj];
-      for (std::size_t jj = 0; jj < kBlock; ++jj) po[(i0 + 1) * n + j0 + jj] = c1[jj];
-      for (std::size_t jj = 0; jj < kBlock; ++jj) po[(i0 + 2) * n + j0 + jj] = c2[jj];
-      for (std::size_t jj = 0; jj < kBlock; ++jj) po[(i0 + 3) * n + j0 + jj] = c3[jj];
-    }
-    for (; j0 < n; ++j0) {
-      for (std::size_t r = 0; r < 4; ++r) {
-        const double* __restrict__ arow = pa + (i0 + r) * k;
-        double acc = 0.0;
-        for (std::size_t p = 0; p < k; ++p) {
-          const double aip = arow[p];
-          if (aip == 0.0) continue;
-          acc += aip * pb[p * n + j0];
-        }
-        po[(i0 + r) * n + j0] = acc;
-      }
-    }
-  }
-  if (i0 < m)  // row tail (< 4 rows): the reference kernel, no allocation
-    reference_rows(po + i0 * n, pa + i0 * k, pb, m - i0, k, n);
+void matmul_acc_strided(double* out, const double* a, std::size_t a_row,
+                        std::size_t a_col, const double* b, std::size_t m,
+                        std::size_t k, std::size_t n) {
+  tiled<Epilogue::kAdd>({out, a, a_row, a_col, b, k, n}, m);
 }
-
-#endif  // __AVX512F__
 
 Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   assert(a.rank() == 2 && b.rank() == 2);

@@ -94,15 +94,26 @@ Tensor matmul(const Tensor& a, const Tensor& b);
 /// to the allocating form — the tape-free inference path depends on that.
 void matmul_into(Tensor& out, const Tensor& a, const Tensor& b);
 /// Same contract and (for finite inputs) bit-identical results as
-/// matmul_into, tuned for the tall batches of the fleet-batched inference
-/// path: multi-row register blocking turns the ~2 accumulator dependency
-/// chains per output row of matmul_into into 8+ independent chains, which
-/// is where the single-thread GEMM throughput headroom lives. Each
-/// out[i][j] still receives its contributions in ascending-p order with
-/// separate mul/add rounding (this translation unit builds with
-/// -ffp-contract=off, so no FMA contraction on either kernel). See the
-/// implementation for the zero-skip equivalence argument.
+/// matmul_into, tuned for tall batches (the fleet-batched inference path and
+/// the training forwards): 8-row x 16-column register tiles (4 x 8 in the
+/// portable build) turn the ~2 accumulator dependency chains per output row
+/// of matmul_into into many independent ones, which is where the
+/// single-thread GEMM throughput headroom lives. Each out[i][j] still
+/// receives its contributions in ascending-p order with separate mul/add
+/// rounding (this translation unit builds with -ffp-contract=off, so no FMA
+/// contraction on either kernel). See the implementation for the zero-skip
+/// equivalence argument.
 void matmul_into_batched(Tensor& out, const Tensor& a, const Tensor& b);
+/// out [m,n] += A [m,k] @ b [k,n] on matmul_into_batched's tiles, with the
+/// add epilogue: each out[i][j] gets one ascending-p chain started from
+/// +0.0, added once — the value `out += matmul(A, b)` would add. A is read
+/// through strides, A(i,p) = a[i * a_row + p * a_col]: (k, 1) for a
+/// row-major A, (1, m) for the transpose of a row-major [k,m] matrix. b and
+/// out are row-major; out must not overlap a or b. The backward kernels in
+/// nn/backward.hpp run both of their GEMMs through it.
+void matmul_acc_strided(double* out, const double* a, std::size_t a_row,
+                        std::size_t a_col, const double* b, std::size_t m,
+                        std::size_t k, std::size_t n);
 /// matmul_into's reference row loop on raw row-major pointers:
 /// out [m,n] = a [m,k] @ b [k,n], same blocking / rounding / zero-skip.
 /// Exists so block-batched layers (nn/gat.hpp) can run per-block products on

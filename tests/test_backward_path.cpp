@@ -87,7 +87,8 @@ TEST(BackwardPathGradCheck, LinearBackwardMatchesCentralDifferences) {
   nn::Tensor dw = nn::Tensor::zeros_like(lin.weight.value);
   nn::Tensor db = nn::Tensor::zeros_like(lin.bias.value);
   nn::Tensor dx = nn::Tensor::zeros(2, 3);
-  lin.backward_train(x, coef, dw, db, &dx);
+  nn::BackwardWorkspace bws;
+  lin.backward_train(bws, x, coef, dw, db, &dx);
 
   for (std::size_t i = 0; i < x.size(); ++i)
     EXPECT_NEAR(central_diff(x[i], loss), dx[i], 1e-6) << "dx " << i;

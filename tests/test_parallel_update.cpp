@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -120,7 +122,7 @@ TEST(ParallelUpdate, SerialPathMatchesPreRefactorGolden) {
 
 // ---------------------------------------------------------------------------
 // Sharded updates: deterministic for a fixed shard count, and tolerance-
-// bounded against the serial fold (tests/test_update_modes.cpp has the
+// bounded against the serial fold (tests/test_sharded_update.cpp has the
 // drift bounds).
 
 TEST(ParallelUpdate, ShardedTrainingIsReproducibleRunToRun) {
@@ -274,6 +276,33 @@ TEST(TrainerResume, MatchesUninterruptedTraining) {
   const auto er = resumed.eval_episode(123);
   EXPECT_DOUBLE_EQ(eu.travel_time, er.travel_time);
   EXPECT_DOUBLE_EQ(eu.mean_reward, er.mean_reward);
+}
+
+// A truncated _trainer.bin must throw without touching the trainer: the
+// loader used to assign the episode counter before its truncation check.
+TEST(TrainerResume, TruncatedTrainerStateLeavesEpisodeUnchanged) {
+  GridFixture source_f, target_f;
+  core::PairUpLightTrainer source(&source_f.environment, source_f.fast_config());
+  for (int e = 0; e < 3; ++e) source.train_episode();
+  const std::string prefix = temp_path("truncated_trainer_ckpt");
+  source.save_checkpoint(prefix);
+  const std::string trainer_file = prefix + "_trainer.bin";
+  {
+    // Keep magic, version and the episode counter; cut the RNG state short.
+    std::ifstream in(trainer_file, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    ASSERT_GT(bytes.size(), 28u);
+    std::ofstream out(trainer_file, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), 28);
+  }
+
+  core::PairUpLightTrainer target(&target_f.environment, target_f.fast_config());
+  EXPECT_THROW(target.load_checkpoint(prefix), std::runtime_error);
+  EXPECT_EQ(target.episodes_trained(), 0u);
+  for (const char* suffix :
+       {"_actor0.bin", "_critic0.bin", "_optim0.bin", "_trainer.bin"})
+    std::remove((prefix + suffix).c_str());
 }
 
 }  // namespace

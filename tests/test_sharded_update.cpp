@@ -104,7 +104,7 @@ void expect_weights_identical(core::PairUpLightTrainer& a,
 // ---------------------------------------------------------------------------
 // Batched shards: tolerance-bounded equivalence.
 
-TEST(UpdateModes, BatchedMatchesSerialToFloatingPointNoiseAfterOneEpisode) {
+TEST(ShardedUpdate, BatchedMatchesSerialToFloatingPointNoiseAfterOneEpisode) {
   GridFixture serial_f, batched_f;
   core::PairUpConfig batched_config = batched_f.fast_config();
   batched_config.num_update_shards = 4;
@@ -123,7 +123,7 @@ TEST(UpdateModes, BatchedMatchesSerialToFloatingPointNoiseAfterOneEpisode) {
   EXPECT_LT(divergence, 1e-12) << "batched shards drifted beyond FP noise";
 }
 
-TEST(UpdateModes, BatchedDriftStaysBoundedOverTwentyEpisodes) {
+TEST(ShardedUpdate, BatchedDriftStaysBoundedOverTwentyEpisodes) {
   GridFixture serial_f, batched_f;
   core::PairUpConfig batched_config = batched_f.fast_config();
   batched_config.num_update_shards = 4;
@@ -147,7 +147,7 @@ TEST(UpdateModes, BatchedDriftStaysBoundedOverTwentyEpisodes) {
   EXPECT_LT(divergence, 1e-9) << "20-episode batched drift out of bound";
 }
 
-TEST(UpdateModes, BatchedIsReproducibleRunToRun) {
+TEST(ShardedUpdate, BatchedIsReproducibleRunToRun) {
   // Not bit-identical to serial, but exactly deterministic for a fixed
   // shard count: shards are folded in index order on the calling thread, so
   // two identical runs must agree to the bit.
@@ -167,7 +167,7 @@ TEST(UpdateModes, BatchedIsReproducibleRunToRun) {
   expect_weights_identical(t1, t2);
 }
 
-TEST(UpdateModes, BatchedTrainingStaysHealthy) {
+TEST(ShardedUpdate, BatchedTrainingStaysHealthy) {
   // End-to-end sanity of sharded training on its own terms (no serial twin):
   // losses finite, stats populated, uneven shard split (3 does not divide
   // 32) exercised.
