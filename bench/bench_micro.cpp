@@ -129,7 +129,7 @@ void BM_BackwardMatmulNt(benchmark::State& state) {
   for (double& v : dy.values()) v = rng.normal();
   for (double& v : w.values()) v = rng.normal();
   nn::Tensor dx = nn::Tensor::zeros(m, k);
-  nn::BackwardWorkspace ws;
+  nn::Workspace ws;
   for (auto _ : state) {
     ws.begin_pass();  // reuse the W^T slot, as the update does
     nn::backward_matmul_nt_acc(ws, dx, dy, w);

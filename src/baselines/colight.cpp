@@ -26,24 +26,14 @@ Var CoLightTrainer::QNet::forward(Tape& tape, Var entity_obs,
   return q_head->forward(tape, mixed);                         // [1, A]
 }
 
-const Tensor& CoLightTrainer::QNet::forward_inference(
-    nn::InferenceWorkspace& ws, const Tensor& entity_obs,
-    const std::vector<bool>& mask) {
+const Tensor& CoLightTrainer::QNet::forward(
+    nn::Workspace& ws, const Tensor& entity_obs,
+    std::span<const std::vector<bool>* const> masks) {
   Tensor& embedded =
-      const_cast<Tensor&>(embed->forward_inference(ws, entity_obs));  // [E, d]
+      const_cast<Tensor&>(embed->forward(ws, entity_obs));  // [B*E, d]
   nn::relu_inplace(embedded);
-  const Tensor& mixed = gat->forward_inference(ws, embedded, mask);  // [1, d]
-  return q_head->forward_inference(ws, mixed);                       // [1, A]
-}
-
-const Tensor& CoLightTrainer::QNet::forward_inference_blocks(
-    nn::InferenceWorkspace& ws, const Tensor& entity_obs,
-    const std::vector<const std::vector<bool>*>& masks) {
-  Tensor& embedded =
-      const_cast<Tensor&>(embed->forward_inference(ws, entity_obs));  // [B*E, d]
-  nn::relu_inplace(embedded);
-  const Tensor& mixed = gat->forward_inference_blocks(ws, embedded, masks);
-  return q_head->forward_inference(ws, mixed);  // [B, A]
+  const Tensor& mixed = gat->forward(ws, embedded, masks);  // [B, d]
+  return q_head->forward(ws, mixed);                        // [B, A]
 }
 
 CoLightTrainer::CoLightTrainer(env::TscEnv* env, CoLightConfig config)
@@ -114,25 +104,14 @@ std::vector<std::size_t> CoLightTrainer::act_all(bool explore) {
       actions[i] = rng_.uniform_int(num_phases);
       continue;
     }
-    if (config_.inference_path) {
-      workspace_.begin_pass();
-      const auto flat = entity_obs(i);
-      Tensor& obs = workspace_.acquire(entities_, env_->obs_dim());
-      std::copy(flat.begin(), flat.end(), obs.data());
-      const Tensor& q_t = online_->forward_inference(workspace_, obs,
-                                                     entity_mask(i));
-      actions[i] = nn::argmax_row(q_t, 0, num_phases);
-    } else {
-      Tape tape;
-      Var obs = tape.constant(
-          Tensor::matrix(entities_, env_->obs_dim(), entity_obs(i)));
-      Var q = online_->forward(tape, obs, entity_mask(i));
-      const Tensor& q_t = tape.value(q);
-      std::size_t best = 0;
-      for (std::size_t p = 1; p < num_phases; ++p)
-        if (q_t.at(0, p) > q_t.at(0, best)) best = p;
-      actions[i] = best;
-    }
+    workspace_.begin_pass();
+    const auto flat = entity_obs(i);
+    Tensor& obs = workspace_.acquire(entities_, env_->obs_dim());
+    std::copy(flat.begin(), flat.end(), obs.data());
+    const std::vector<bool> mask = entity_mask(i);
+    const std::vector<bool>* masks[] = {&mask};
+    const Tensor& q_t = online_->forward(workspace_, obs, masks);
+    actions[i] = nn::argmax_row(q_t, 0, num_phases);
   }
   return actions;
 }
@@ -254,8 +233,6 @@ std::vector<env::EpisodeStats> CoLightTrainer::eval_episodes_fleet(
   std::vector<std::vector<bool>> agent_masks(n);
   for (std::size_t i = 0; i < n; ++i) agent_masks[i] = entity_mask(i);
 
-  const bool prev_gemm = workspace_.batched_gemm();
-  workspace_.set_batched_gemm(true);
   std::vector<std::size_t> active(k);
   for (std::size_t w = 0; w < k; ++w) active[w] = w;
   std::vector<std::vector<std::size_t>> actions(k, std::vector<std::size_t>(n, 0));
@@ -283,7 +260,7 @@ std::vector<env::EpisodeStats> CoLightTrainer::eval_episodes_fleet(
         masks.push_back(&agent_masks[i]);
       }
     }
-    const Tensor& q = online_->forward_inference_blocks(workspace_, obs, masks);
+    const Tensor& q = online_->forward(workspace_, obs, masks);
     for (std::size_t a = 0; a < batch; ++a)
       for (std::size_t i = 0; i < n; ++i)
         actions[active[a]][i] =
@@ -300,7 +277,6 @@ std::vector<env::EpisodeStats> CoLightTrainer::eval_episodes_fleet(
                                 [&](std::size_t w) { return envs[w]->done(); }),
                  active.end());
   }
-  workspace_.set_batched_gemm(prev_gemm);
 
   std::vector<env::EpisodeStats> out(k);
   for (std::size_t w = 0; w < k; ++w) {

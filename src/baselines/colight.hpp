@@ -8,6 +8,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/env/controller.hpp"
@@ -33,19 +34,36 @@ struct CoLightConfig {
   std::size_t target_update_steps = 200;  ///< hard target-net sync interval
   std::size_t updates_per_step = 1;       ///< gradient steps per env step
   double max_grad_norm = 1.0;
-  /// Greedy action selection runs tape-free on a preallocated workspace
-  /// (nn/inference.hpp); bit-identical to the tape forward. False forces
-  /// the tape path (debug / A-B comparison).
-  bool inference_path = true;
-  /// Math-kernel tier for the inference-path forwards (nn/kernels.hpp):
-  /// kReference (default) is bit-exact; kFast is tolerance-bounded SIMD/FMA.
-  /// Tape forwards/backwards (the Q update) always run reference.
+  /// Math-kernel tier of action selection, which runs the Q-network's
+  /// workspace forward (nn/inference.hpp): kReference (default) is
+  /// bit-identical to the tape forward; kFast is tolerance-bounded
+  /// SIMD/FMA. The Q update trains on the tape, always at reference.
   nn::KernelTier kernel_tier = nn::KernelTier::kReference;
   std::uint64_t seed = 4;
 };
 
 class CoLightTrainer {
  public:
+  /// A Q-network: shared obs embedding + GAT + Q head.
+  struct QNet : nn::Module {
+    QNet(std::size_t obs_dim, std::size_t embed_dim, std::size_t entities,
+         std::size_t max_phases, Rng& rng);
+    /// entity_obs: [entities, obs_dim] (row 0 = self). Returns [1, max_phases].
+    nn::Var forward(nn::Tape& tape, nn::Var entity_obs,
+                    const std::vector<bool>& mask);
+    /// Block-batched workspace forward: entity_obs stacks B = masks.size()
+    /// neighborhoods as [B * entities, obs_dim] and masks[b] is block b's
+    /// entity mask. Row b of the returned [B, max_phases] tensor is
+    /// bit-identical to the tape forward on block b alone at the reference
+    /// tier (see GatLayer::forward for the argument). Non-const because
+    /// the GAT layer records its attention weights.
+    const nn::Tensor& forward(nn::Workspace& ws, const nn::Tensor& entity_obs,
+                              std::span<const std::vector<bool>* const> masks);
+    std::unique_ptr<nn::Linear> embed;
+    std::unique_ptr<nn::GatLayer> gat;
+    std::unique_ptr<nn::Linear> q_head;
+  };
+
   CoLightTrainer(env::TscEnv* env, CoLightConfig config);
 
   env::EpisodeStats train_episode();
@@ -62,6 +80,8 @@ class CoLightTrainer {
       const std::vector<std::uint64_t>& seeds);
   std::unique_ptr<env::Controller> make_controller();
   std::size_t episodes_trained() const { return episode_; }
+  /// The online Q-network (for tests and inspection).
+  QNet& q_network() { return *online_; }
 
   /// Bits received from other intersections per step: 1-hop neighbors ship
   /// their link-level observations as 32-bit floats (Table IV "CoLight").
@@ -69,31 +89,6 @@ class CoLightTrainer {
 
  private:
   friend class CoLightController;
-
-  /// A Q-network: shared obs embedding + GAT + Q head.
-  struct QNet : nn::Module {
-    QNet(std::size_t obs_dim, std::size_t embed_dim, std::size_t entities,
-         std::size_t max_phases, Rng& rng);
-    /// entity_obs: [entities, obs_dim] (row 0 = self). Returns [1, max_phases].
-    nn::Var forward(nn::Tape& tape, nn::Var entity_obs,
-                    const std::vector<bool>& mask);
-    /// Tape-free forward; bit-identical to forward(). Non-const because the
-    /// GAT layer records its attention weights.
-    const nn::Tensor& forward_inference(nn::InferenceWorkspace& ws,
-                                        const nn::Tensor& entity_obs,
-                                        const std::vector<bool>& mask);
-    /// Block-batched tape-free forward: entity_obs stacks B neighborhoods
-    /// as [B * entities, obs_dim] and masks[b] is block b's entity mask.
-    /// Row b of the returned [B, max_phases] tensor is bit-identical to
-    /// forward_inference() on block b alone (see GatLayer::
-    /// forward_inference_blocks for the argument).
-    const nn::Tensor& forward_inference_blocks(
-        nn::InferenceWorkspace& ws, const nn::Tensor& entity_obs,
-        const std::vector<const std::vector<bool>*>& masks);
-    std::unique_ptr<nn::Linear> embed;
-    std::unique_ptr<nn::GatLayer> gat;
-    std::unique_ptr<nn::Linear> q_head;
-  };
 
   struct Transition {
     std::vector<double> entity_obs;       ///< flattened [entities, obs_dim]
@@ -121,7 +116,7 @@ class CoLightTrainer {
   std::unique_ptr<QNet> target_;
   std::unique_ptr<nn::Adam> optim_;
   rl::ReplayBuffer<Transition> replay_;
-  nn::InferenceWorkspace workspace_;
+  nn::Workspace workspace_;
   std::size_t episode_ = 0;
   std::size_t learn_steps_ = 0;
   std::uint64_t episode_seed_ = 0;

@@ -48,22 +48,11 @@ std::vector<std::size_t> IdqnTrainer::act_all(bool explore) {
       continue;
     }
     const auto obs = env_->local_obs(i);
-    if (config_.inference_path) {
-      workspace_.begin_pass();
-      Tensor& x = workspace_.acquire(1, obs.size());
-      std::copy(obs.begin(), obs.end(), x.data());
-      const Tensor& q_t = online_[i]->forward_inference(workspace_, x);
-      actions[i] = nn::argmax_row(q_t, 0, num_phases);
-    } else {
-      Tape tape;
-      Var x = tape.constant(Tensor::matrix(1, obs.size(), obs));
-      Var q = online_[i]->forward(tape, x);
-      const Tensor& q_t = tape.value(q);
-      std::size_t best = 0;
-      for (std::size_t p = 1; p < num_phases; ++p)
-        if (q_t.at(0, p) > q_t.at(0, best)) best = p;
-      actions[i] = best;
-    }
+    workspace_.begin_pass();
+    Tensor& x = workspace_.acquire(1, obs.size());
+    std::copy(obs.begin(), obs.end(), x.data());
+    const Tensor& q_t = online_[i]->forward(workspace_, x);
+    actions[i] = nn::argmax_row(q_t, 0, num_phases);
   }
   return actions;
 }
@@ -174,8 +163,6 @@ std::vector<env::EpisodeStats> IdqnTrainer::eval_episodes_fleet(
     envs.back()->reset(seeds[w]);
   }
 
-  const bool prev_gemm = workspace_.batched_gemm();
-  workspace_.set_batched_gemm(true);
   std::vector<std::size_t> active(k);
   for (std::size_t w = 0; w < k; ++w) active[w] = w;
   std::vector<std::vector<std::size_t>> actions(k, std::vector<std::size_t>(n, 0));
@@ -188,7 +175,7 @@ std::vector<env::EpisodeStats> IdqnTrainer::eval_episodes_fleet(
       Tensor& x = workspace_.acquire(batch, obs_dim);
       for (std::size_t a = 0; a < batch; ++a)
         envs[active[a]]->local_obs_into(i, x.data() + a * obs_dim);
-      const Tensor& q = online_[i]->forward_inference(workspace_, x);
+      const Tensor& q = online_[i]->forward(workspace_, x);
       const std::size_t num_phases = env_->agent(i).num_phases;
       for (std::size_t a = 0; a < batch; ++a)
         actions[active[a]][i] = nn::argmax_row(q, a, num_phases);
@@ -205,7 +192,6 @@ std::vector<env::EpisodeStats> IdqnTrainer::eval_episodes_fleet(
                                 [&](std::size_t w) { return envs[w]->done(); }),
                  active.end());
   }
-  workspace_.set_batched_gemm(prev_gemm);
 
   std::vector<env::EpisodeStats> out(k);
   for (std::size_t w = 0; w < k; ++w) {

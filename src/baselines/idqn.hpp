@@ -31,13 +31,10 @@ struct IdqnConfig {
   std::size_t target_update_steps = 200;
   std::size_t updates_per_step = 1;
   double max_grad_norm = 1.0;
-  /// Greedy action selection runs tape-free on a preallocated workspace
-  /// (nn/inference.hpp); bit-identical to the tape forward. False forces
-  /// the tape path (debug / A-B comparison).
-  bool inference_path = true;
-  /// Math-kernel tier for the inference-path forwards (nn/kernels.hpp):
-  /// kReference (default) is bit-exact; kFast is tolerance-bounded SIMD/FMA.
-  /// Tape forwards/backwards (the Q update) always run reference.
+  /// Math-kernel tier of action selection, which runs the Q-network's
+  /// workspace forward (nn/inference.hpp): kReference (default) is
+  /// bit-identical to the tape forward; kFast is tolerance-bounded
+  /// SIMD/FMA. The Q update trains on the tape, always at reference.
   nn::KernelTier kernel_tier = nn::KernelTier::kReference;
   std::uint64_t seed = 5;
 };
@@ -59,6 +56,8 @@ class IdqnTrainer {
       const std::vector<std::uint64_t>& seeds);
   std::unique_ptr<env::Controller> make_controller();
   std::size_t episodes_trained() const { return episode_; }
+  /// Agent i's online Q-network (for tests and inspection).
+  nn::Mlp& q_network(std::size_t i) { return *online_.at(i); }
 
   /// IDQN receives nothing from other intersections.
   std::size_t comm_bits_per_step() const { return 0; }
@@ -86,7 +85,7 @@ class IdqnTrainer {
   std::vector<std::unique_ptr<nn::Mlp>> target_;
   std::vector<std::unique_ptr<nn::Adam>> optims_;
   std::vector<rl::ReplayBuffer<Transition>> replays_;
-  nn::InferenceWorkspace workspace_;
+  nn::Workspace workspace_;
   std::size_t episode_ = 0;
   std::size_t learn_steps_ = 0;
 };

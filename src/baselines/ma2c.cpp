@@ -85,49 +85,19 @@ std::vector<std::size_t> Ma2cTrainer::act_all(bool explore,
     const std::size_t num_phases = env_->agent(i).num_phases;
     const auto input = agent_input(i);
 
-    // Both forward producers fill the same pointers; the selection /
-    // fingerprint / buffer code below is shared so the RNG consumption
-    // order is identical on either path.
-    const Tensor* probs_p = nullptr;
-    const Tensor* logp_p = nullptr;
-    const Tensor* val_p = nullptr;
-    Tape tape;  // used only on the tape path; outlives the pointers
-    if (config_.inference_path) {
-      workspace_.begin_pass();
-      Tensor& x = workspace_.acquire(1, input_dim_);
-      std::copy(input.begin(), input.end(), x.data());
-      Tensor& logits =
-          const_cast<Tensor&>(actors_[i]->forward_inference(workspace_, x));
-      // Mask exactly like the tape path: elementwise add of 0.0 / -1e9.
-      if (num_phases < max_phases)
-        for (std::size_t p = 0; p < max_phases; ++p)
-          logits.at(0, p) += p < num_phases ? 0.0 : -1e9;
-      Tensor& probs = workspace_.acquire(1, max_phases);
-      nn::softmax_rows_into(probs, logits, workspace_.kernel_tier());
-      Tensor& logp = workspace_.acquire(1, max_phases);
-      nn::log_softmax_rows_into(logp, logits, workspace_.kernel_tier());
-      const Tensor& value = critics_[i]->forward_inference(workspace_, x);
-      probs_p = &probs;
-      logp_p = &logp;
-      val_p = &value;
-    } else {
-      Var x = tape.constant(pack_rows({input}, input_dim_));
-      Var logits = actors_[i]->forward(tape, x);
-      // Mask phases beyond this agent's count.
-      if (num_phases < max_phases) {
-        Tensor mask = Tensor::zeros(1, max_phases);
-        for (std::size_t p = num_phases; p < max_phases; ++p)
-          mask.at(0, p) = -1e9;
-        logits = tape.add(logits, tape.constant(std::move(mask)));
-      }
-      Var probs = tape.softmax_rows(logits);
-      Var logp = tape.log_softmax_rows(logits);
-      Var value = critics_[i]->forward(tape, x);
-      probs_p = &tape.value(probs);
-      logp_p = &tape.value(logp);
-      val_p = &tape.value(value);
-    }
-    const Tensor& probs_t = *probs_p;
+    workspace_.begin_pass();
+    Tensor& x = workspace_.acquire(1, input_dim_);
+    std::copy(input.begin(), input.end(), x.data());
+    Tensor& logits = const_cast<Tensor&>(actors_[i]->forward(workspace_, x));
+    // Mask exactly like the tape update: elementwise add of 0.0 / -1e9.
+    if (num_phases < max_phases)
+      for (std::size_t p = 0; p < max_phases; ++p)
+        logits.at(0, p) += p < num_phases ? 0.0 : -1e9;
+    Tensor& probs_t = workspace_.acquire(1, max_phases);
+    nn::softmax_rows_into(probs_t, logits, workspace_.kernel_tier());
+    Tensor& logp = workspace_.acquire(1, max_phases);
+    nn::log_softmax_rows_into(logp, logits, workspace_.kernel_tier());
+    const Tensor& value = critics_[i]->forward(workspace_, x);
 
     std::size_t action = 0;
     if (explore) {
@@ -153,8 +123,8 @@ std::vector<std::size_t> Ma2cTrainer::act_all(bool explore,
       s.obs = input;
       s.action = action;
       s.phase_count = num_phases;
-      s.log_prob = logp_p->at(0, action);
-      s.value = val_p->at(0, 0);
+      s.log_prob = logp.at(0, action);
+      s.value = value.at(0, 0);
       buffer->add(i, std::move(s));
     }
   }
@@ -189,18 +159,10 @@ env::EpisodeStats Ma2cTrainer::run(bool train_mode, std::uint64_t seed) {
     // Bootstrap each agent's value at the final state.
     for (std::size_t i = 0; i < env_->num_agents(); ++i) {
       const auto input = agent_input(i);
-      double boot = 0.0;
-      if (config_.inference_path) {
-        workspace_.begin_pass();
-        Tensor& x = workspace_.acquire(1, input_dim_);
-        std::copy(input.begin(), input.end(), x.data());
-        boot = critics_[i]->forward_inference(workspace_, x).at(0, 0);
-      } else {
-        Tape tape;
-        Var x = tape.constant(pack_rows({input}, input_dim_));
-        Var value = critics_[i]->forward(tape, x);
-        boot = tape.value(value).at(0, 0);
-      }
+      workspace_.begin_pass();
+      Tensor& x = workspace_.acquire(1, input_dim_);
+      std::copy(input.begin(), input.end(), x.data());
+      const double boot = critics_[i]->forward(workspace_, x).at(0, 0);
       // A2C uses Monte-Carlo returns with bootstrap (lambda = 1).
       buffer.finish_agent(i, boot, config_.gamma, 1.0);
     }
@@ -250,8 +212,6 @@ std::vector<env::EpisodeStats> Ma2cTrainer::eval_episodes_fleet(
       srngs.emplace_back(seeds[w] ^ env::kEvalSampleSalt);
   }
 
-  const bool prev_gemm = workspace_.batched_gemm();
-  workspace_.set_batched_gemm(true);
   std::vector<std::size_t> active(k);
   for (std::size_t w = 0; w < k; ++w) active[w] = w;
   std::vector<std::vector<std::size_t>> actions(k, std::vector<std::size_t>(n, 0));
@@ -288,8 +248,7 @@ std::vector<env::EpisodeStats> Ma2cTrainer::eval_episodes_fleet(
           }
         }
       }
-      Tensor& logits =
-          const_cast<Tensor&>(actors_[i]->forward_inference(workspace_, x));
+      Tensor& logits = const_cast<Tensor&>(actors_[i]->forward(workspace_, x));
       if (num_phases < max_phases)
         for (std::size_t a = 0; a < batch; ++a)
           for (std::size_t p = 0; p < max_phases; ++p)
@@ -325,7 +284,6 @@ std::vector<env::EpisodeStats> Ma2cTrainer::eval_episodes_fleet(
                                 [&](std::size_t w) { return envs[w]->done(); }),
                  active.end());
   }
-  workspace_.set_batched_gemm(prev_gemm);
 
   std::vector<env::EpisodeStats> out(k);
   for (std::size_t w = 0; w < k; ++w) {

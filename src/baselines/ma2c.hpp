@@ -36,13 +36,10 @@ struct Ma2cConfig {
   /// Sample from the stochastic policies at evaluation time (deterministic
   /// per-episode stream); argmax when true.
   bool greedy_eval = false;
-  /// Rollout/evaluation forwards run tape-free on a preallocated workspace
-  /// (nn/inference.hpp); bit-identical to the tape forward. False forces
-  /// the tape path (debug / A-B comparison).
-  bool inference_path = true;
-  /// Math-kernel tier for the inference-path forwards (nn/kernels.hpp):
-  /// kReference (default) is bit-exact; kFast is tolerance-bounded SIMD/FMA.
-  /// Tape forwards/backwards (the A2C update) always run reference.
+  /// Math-kernel tier of the rollout/evaluation forwards, which run the
+  /// networks' workspace forwards (nn/inference.hpp): kReference (default)
+  /// is bit-identical to the tape forward; kFast is tolerance-bounded
+  /// SIMD/FMA. The A2C update trains on the tape, always at reference.
   nn::KernelTier kernel_tier = nn::KernelTier::kReference;
   std::uint64_t seed = 3;
 };
@@ -66,6 +63,9 @@ class Ma2cTrainer {
       const std::vector<std::uint64_t>& seeds);
   std::unique_ptr<env::Controller> make_controller();
   std::size_t episodes_trained() const { return episode_; }
+  /// Agent i's policy and value networks (for tests and inspection).
+  nn::Mlp& actor(std::size_t i) { return *actors_.at(i); }
+  nn::Mlp& critic(std::size_t i) { return *critics_.at(i); }
 
   /// Bits received from other intersections per step: each of the (up to 4)
   /// neighbors sends its observation + fingerprint as 32-bit floats
@@ -91,7 +91,7 @@ class Ma2cTrainer {
   std::vector<std::unique_ptr<nn::Adam>> optims_;
   /// Policy fingerprints: last action distribution per agent.
   std::vector<std::vector<double>> fingerprints_;
-  nn::InferenceWorkspace workspace_;
+  nn::Workspace workspace_;
   std::size_t episode_ = 0;
   std::uint64_t episode_seed_ = 0;
 };

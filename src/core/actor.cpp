@@ -53,17 +53,17 @@ CoordinatedActor::Output CoordinatedActor::forward(
   return {logits, message, state};
 }
 
-CoordinatedActor::InferenceOutput CoordinatedActor::forward_inference(
-    nn::InferenceWorkspace& ws, const Tensor& input, const Tensor& h,
-    const Tensor& c, const std::vector<std::size_t>& phase_counts) const {
+CoordinatedActor::Result CoordinatedActor::forward(
+    nn::Workspace& ws, const Tensor& input, const Tensor& h, const Tensor& c,
+    const std::vector<std::size_t>& phase_counts, TrainActivations* trace) const {
   const std::size_t batch = input.rows();
   assert(input.cols() == input_dim());
   assert(phase_counts.size() == batch);
 
-  Tensor& x = const_cast<Tensor&>(embed_->forward_inference(ws, input));
+  Tensor& x = const_cast<Tensor&>(embed_->forward(ws, input));
   nn::tanh_inplace(x, ws.kernel_tier());
-  const LstmCell::InferenceState state = lstm_->forward_inference(ws, x, h, c);
-  Tensor& logits = const_cast<Tensor&>(policy_head_->forward_inference(ws, *state.h));
+  const LstmCell::Result state = lstm_->forward(ws, x, h, c);
+  Tensor& logits = const_cast<Tensor&>(policy_head_->forward(ws, *state.h));
 
   // Mask invalid phases exactly like the tape path: an element-wise add of
   // 0.0 (valid) or -1e9 (invalid), applied only when some row needs it.
@@ -76,44 +76,21 @@ CoordinatedActor::InferenceOutput CoordinatedActor::forward_inference(
         logits.at(b, p) += p < phase_counts[b] ? 0.0 : -1e9;
   }
 
-  const Tensor& message = message_head_->forward_inference(ws, *state.h);
+  if (trace != nullptr) {
+    *trace = {&input, &h, &c, &x, state, &logits};
+    return {&logits, nullptr, state.h, state.c};
+  }
+  const Tensor& message = message_head_->forward(ws, *state.h);
   return {&logits, &message, state.h, state.c};
 }
 
-const Tensor& CoordinatedActor::forward_train(
-    nn::BackwardWorkspace& ws, const Tensor& input, const Tensor& h,
-    const Tensor& c, const std::vector<std::size_t>& phase_counts,
-    TrainActivations& acts) const {
-  const std::size_t batch = input.rows();
-  assert(input.cols() == input_dim());
-  assert(phase_counts.size() == batch);
-
-  Tensor& x = const_cast<Tensor&>(embed_->forward_inference(ws.fwd(), input));
-  nn::tanh_inplace(x);
-  const LstmCell::TrainState st = lstm_->forward_train(ws, x, h, c);
-  Tensor& logits = const_cast<Tensor&>(policy_head_->forward_inference(ws.fwd(), *st.h));
-
-  // Mask invalid phases exactly like the tape path (add of 0.0 / -1e9).
-  bool needs_mask = false;
-  for (std::size_t pc : phase_counts)
-    if (pc < max_phases_) needs_mask = true;
-  if (needs_mask) {
-    for (std::size_t b = 0; b < batch; ++b)
-      for (std::size_t p = 0; p < max_phases_; ++p)
-        logits.at(b, p) += p < phase_counts[b] ? 0.0 : -1e9;
-  }
-
-  acts = {&input, &h, &c, &x, st, &logits};
-  return logits;
-}
-
-void CoordinatedActor::backward_train(nn::BackwardWorkspace& ws,
+void CoordinatedActor::backward_train(nn::Workspace& ws,
                                       const TrainActivations& acts,
                                       const Tensor& dlogits,
                                       Tensor* const* sinks) const {
   const std::size_t rows = dlogits.rows();
   // The mask add is a constant node: dlogits passes through unchanged. The
-  // message head contributes exact zeros everywhere (see forward_train), so
+  // message head contributes exact zeros everywhere (see forward()), so
   // the LSTM state gradient is the policy head's alone.
   Tensor& dh = ws.acquire_zeroed(rows, hidden_);
   policy_head_->backward_train(ws, *acts.lstm.h, dlogits, *sinks[5], *sinks[6],

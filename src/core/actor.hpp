@@ -33,25 +33,16 @@ class CoordinatedActor : public tsc::nn::Module {
   Output forward(tsc::nn::Tape& tape, tsc::nn::Var input, tsc::nn::Var h,
                  tsc::nn::Var c, const std::vector<std::size_t>& phase_counts);
 
-  /// Tape-free forward results; tensors live in the workspace and stay
+  /// Workspace forward results; tensors live in the workspace and stay
   /// valid until its next begin_pass().
-  struct InferenceOutput {
+  struct Result {
     const tsc::nn::Tensor* logits = nullptr;   ///< [B, max_phases]
-    const tsc::nn::Tensor* message = nullptr;  ///< [B, msg_dim], raw
+    const tsc::nn::Tensor* message = nullptr;  ///< [B, msg_dim], raw; null when traced
     const tsc::nn::Tensor* h = nullptr;        ///< [B, hidden]
     const tsc::nn::Tensor* c = nullptr;        ///< [B, hidden]
   };
 
-  /// Tape-free forward; bit-identical to forward() (including the masked
-  /// -1e9 logits at heterogeneous phase counts). `input`/`h`/`c` must not
-  /// alias buffers acquired by this call.
-  InferenceOutput forward_inference(tsc::nn::InferenceWorkspace& ws,
-                                    const tsc::nn::Tensor& input,
-                                    const tsc::nn::Tensor& h,
-                                    const tsc::nn::Tensor& c,
-                                    const std::vector<std::size_t>& phase_counts) const;
-
-  /// Activations retained by forward_train() for backward_train(). The
+  /// Activations a traced forward keeps for backward_train(). The
   /// input/h/c pointers refer to the caller's tensors; the rest live in the
   /// workspace (valid until its next begin_pass()).
   struct TrainActivations {
@@ -59,29 +50,40 @@ class CoordinatedActor : public tsc::nn::Module {
     const tsc::nn::Tensor* h_in = nullptr;
     const tsc::nn::Tensor* c_in = nullptr;
     const tsc::nn::Tensor* x = nullptr;  ///< tanh(embed) [B, hidden]
-    tsc::nn::LstmCell::TrainState lstm;
+    tsc::nn::LstmCell::Result lstm;
     const tsc::nn::Tensor* logits = nullptr;  ///< masked [B, max_phases]
   };
 
-  /// Tape-free training forward: logits bit-identical to forward() /
-  /// forward_inference(). The message head is not evaluated — the PPO loss
-  /// never consumes it, so on the tape its output gradient is exactly zero
-  /// and its parameter gradients stay exactly +0.0, which skipping
-  /// reproduces bit-for-bit.
-  const tsc::nn::Tensor& forward_train(tsc::nn::BackwardWorkspace& ws,
+  /// Workspace forward; at the reference tier bit-identical to the tape
+  /// forward (including the masked -1e9 logits at heterogeneous phase
+  /// counts). `input`/`h`/`c` must not alias buffers acquired by this call.
+  /// Without a trace it acts: logits, message and the next LSTM state. With
+  /// a trace it keeps the activations backward_train() reads and skips the
+  /// message head: the PPO loss never consumes it, so on the tape its
+  /// output gradient is exactly zero and its parameter gradients stay
+  /// exactly +0.0, which skipping reproduces bit for bit.
+  Result forward(tsc::nn::Workspace& ws, const tsc::nn::Tensor& input,
+                 const tsc::nn::Tensor& h, const tsc::nn::Tensor& c,
+                 const std::vector<std::size_t>& phase_counts,
+                 TrainActivations* trace = nullptr) const;
+
+  /// The traced forward(), returning the masked logits.
+  const tsc::nn::Tensor& forward_train(tsc::nn::Workspace& ws,
                                        const tsc::nn::Tensor& input,
                                        const tsc::nn::Tensor& h,
                                        const tsc::nn::Tensor& c,
                                        const std::vector<std::size_t>& phase_counts,
-                                       TrainActivations& acts) const;
+                                       TrainActivations& acts) const {
+    return *forward(ws, input, h, c, phase_counts, &acts).logits;
+  }
 
-  /// Analytic backward of forward_train(): `dlogits` is the loss gradient
+  /// Analytic backward of a traced forward(): `dlogits` is the loss gradient
   /// w.r.t. the (masked) logits; parameter gradients accumulate into
   /// `sinks`, ordered exactly like parameters(): [embed.w, embed.b,
   /// lstm.w_x, lstm.w_h, lstm.bias, policy.w, policy.b, msg.w, msg.b]
-  /// (the last two are left untouched — see forward_train). Bit-identical
+  /// (the last two are left untouched; see forward()). Bit-identical
   /// to Tape::backward over forward()'s graph.
-  void backward_train(tsc::nn::BackwardWorkspace& ws, const TrainActivations& acts,
+  void backward_train(tsc::nn::Workspace& ws, const TrainActivations& acts,
                       const tsc::nn::Tensor& dlogits,
                       tsc::nn::Tensor* const* sinks) const;
 

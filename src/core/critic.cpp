@@ -32,32 +32,19 @@ CentralizedCritic::Output CentralizedCritic::forward(Tape& tape, Var input, Var 
   return {value, state};
 }
 
-CentralizedCritic::InferenceOutput CentralizedCritic::forward_inference(
-    nn::InferenceWorkspace& ws, const nn::Tensor& input, const nn::Tensor& h,
-    const nn::Tensor& c) const {
+CentralizedCritic::Result CentralizedCritic::forward(
+    nn::Workspace& ws, const nn::Tensor& input, const nn::Tensor& h,
+    const nn::Tensor& c, TrainActivations* trace) const {
   assert(input.cols() == input_dim_);
-  nn::Tensor& x = const_cast<nn::Tensor&>(embed_->forward_inference(ws, input));
+  nn::Tensor& x = const_cast<nn::Tensor&>(embed_->forward(ws, input));
   nn::tanh_inplace(x, ws.kernel_tier());
-  const LstmCell::InferenceState state = lstm_->forward_inference(ws, x, h, c);
-  const nn::Tensor& value = value_head_->forward_inference(ws, *state.h);
+  const LstmCell::Result state = lstm_->forward(ws, x, h, c);
+  const nn::Tensor& value = value_head_->forward(ws, *state.h);
+  if (trace != nullptr) *trace = {&input, &h, &c, &x, state, &value};
   return {&value, state.h, state.c};
 }
 
-const nn::Tensor& CentralizedCritic::forward_train(nn::BackwardWorkspace& ws,
-                                                   const nn::Tensor& input,
-                                                   const nn::Tensor& h,
-                                                   const nn::Tensor& c,
-                                                   TrainActivations& acts) const {
-  assert(input.cols() == input_dim_);
-  nn::Tensor& x = const_cast<nn::Tensor&>(embed_->forward_inference(ws.fwd(), input));
-  nn::tanh_inplace(x);
-  const LstmCell::TrainState st = lstm_->forward_train(ws, x, h, c);
-  const nn::Tensor& value = value_head_->forward_inference(ws.fwd(), *st.h);
-  acts = {&input, &h, &c, &x, st, &value};
-  return value;
-}
-
-void CentralizedCritic::backward_train(nn::BackwardWorkspace& ws,
+void CentralizedCritic::backward_train(nn::Workspace& ws,
                                        const TrainActivations& acts,
                                        const nn::Tensor& dvalues,
                                        nn::Tensor* const* sinks) const {

@@ -28,43 +28,46 @@ class CentralizedCritic : public tsc::nn::Module {
   Output forward(tsc::nn::Tape& tape, tsc::nn::Var input, tsc::nn::Var h,
                  tsc::nn::Var c);
 
-  /// Tape-free forward results; tensors live in the workspace and stay
+  /// Workspace forward results; tensors live in the workspace and stay
   /// valid until its next begin_pass().
-  struct InferenceOutput {
+  struct Result {
     const tsc::nn::Tensor* value = nullptr;  ///< [B, 1]
     const tsc::nn::Tensor* h = nullptr;      ///< [B, hidden]
     const tsc::nn::Tensor* c = nullptr;      ///< [B, hidden]
   };
 
-  /// Tape-free forward; bit-identical to forward().
-  InferenceOutput forward_inference(tsc::nn::InferenceWorkspace& ws,
-                                    const tsc::nn::Tensor& input,
-                                    const tsc::nn::Tensor& h,
-                                    const tsc::nn::Tensor& c) const;
-
-  /// Activations retained by forward_train() for backward_train().
+  /// Activations a traced forward keeps for backward_train().
   struct TrainActivations {
     const tsc::nn::Tensor* input = nullptr;
     const tsc::nn::Tensor* h_in = nullptr;
     const tsc::nn::Tensor* c_in = nullptr;
     const tsc::nn::Tensor* x = nullptr;  ///< tanh(embed) [B, hidden]
-    tsc::nn::LstmCell::TrainState lstm;
+    tsc::nn::LstmCell::Result lstm;
     const tsc::nn::Tensor* value = nullptr;  ///< [B, 1]
   };
 
-  /// Tape-free training forward; value bit-identical to forward().
-  const tsc::nn::Tensor& forward_train(tsc::nn::BackwardWorkspace& ws,
+  /// Workspace forward; at the reference tier bit-identical to the tape
+  /// forward. A non-null `trace` keeps the activations backward_train()
+  /// reads.
+  Result forward(tsc::nn::Workspace& ws, const tsc::nn::Tensor& input,
+                 const tsc::nn::Tensor& h, const tsc::nn::Tensor& c,
+                 TrainActivations* trace = nullptr) const;
+
+  /// The traced forward(), returning the value.
+  const tsc::nn::Tensor& forward_train(tsc::nn::Workspace& ws,
                                        const tsc::nn::Tensor& input,
                                        const tsc::nn::Tensor& h,
                                        const tsc::nn::Tensor& c,
-                                       TrainActivations& acts) const;
+                                       TrainActivations& acts) const {
+    return *forward(ws, input, h, c, &acts).value;
+  }
 
-  /// Analytic backward of forward_train(): `dvalues` [B, 1] is the loss
+  /// Analytic backward of a traced forward(): `dvalues` [B, 1] is the loss
   /// gradient w.r.t. the value; parameter gradients accumulate into `sinks`
   /// in parameters() order: [embed.w, embed.b, lstm.w_x, lstm.w_h,
   /// lstm.bias, value.w, value.b]. Bit-identical to Tape::backward over
   /// forward()'s graph.
-  void backward_train(tsc::nn::BackwardWorkspace& ws, const TrainActivations& acts,
+  void backward_train(tsc::nn::Workspace& ws, const TrainActivations& acts,
                       const tsc::nn::Tensor& dvalues,
                       tsc::nn::Tensor* const* sinks) const;
 

@@ -20,11 +20,9 @@ FleetRolloutEngine::FleetRolloutEngine(const PairUpConfig* config,
       hop1_slots_(hop1_slots),
       hop2_slots_(hop2_slots),
       critic_input_dim_(critic_input_dim) {
-  // All layer forwards through this workspace take the multi-row blocked
-  // GEMM (bit-identical to the reference kernel; see nn/tensor.hpp) — or,
-  // in the fast tier, the FMA GEMM plus the vectorized gate nonlinearities
-  // (tolerance-bounded; nn/kernels.hpp).
-  ws_.set_batched_gemm(true);
+  // The reference tier runs the multi-row blocked GEMM (bit-identical to
+  // the tape's kernel; see nn/tensor.hpp); the fast tier the FMA GEMM plus
+  // the vectorized gate nonlinearities (tolerance-bounded; nn/kernels.hpp).
   ws_.set_kernel_tier(config_->kernel_tier);
 }
 
@@ -127,12 +125,12 @@ void FleetRolloutEngine::decide(std::vector<FleetSlot>& slots,
         phase_counts_[a * bucket + b] = env0.agent(members[b]).num_phases;
 
     auto actor_out =
-        actor.forward_inference(ws_, *bs[0], *bs[1], *bs[2], phase_counts_);
+        actor.forward(ws_, *bs[0], *bs[1], *bs[2], phase_counts_);
     Tensor& probs = ws_.acquire(rows, actor.max_phases());
     nn::softmax_rows_into(probs, *actor_out.logits, ws_.kernel_tier());
     Tensor& logp = ws_.acquire(rows, actor.max_phases());
     nn::log_softmax_rows_into(logp, *actor_out.logits, ws_.kernel_tier());
-    auto critic_out = critic.forward_inference(ws_, *bs[3], *bs[4], *bs[5]);
+    auto critic_out = critic.forward(ws_, *bs[3], *bs[4], *bs[5]);
 
     const Tensor& msg_t = *actor_out.message;
     const Tensor& ha_t = *actor_out.h;

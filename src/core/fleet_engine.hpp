@@ -4,7 +4,7 @@
 // running as a single (num_slots * num_agents)-row GEMM per model bucket.
 //
 // Observation rows from every slot are packed into shared batch matrices
-// (reused InferenceWorkspace slots, one persistent row-block layout per
+// (reused nn::Workspace slots, one persistent row-block layout per
 // fleet), the actor/critic forwards run once per model bucket through the
 // multi-row blocked GEMM kernel (nn::matmul_into_batched), and LSTM h/c plus
 // outgoing messages stay resident in fleet-ordered slab tensors
@@ -106,9 +106,9 @@ class FleetRolloutEngine {
 
   /// Workspace + state-slab allocation events: warmup (first episodes at a
   /// new peak fleet size) allocates, steady state is exactly zero — the
-  /// fleet extension of the InferenceWorkspace::alloc_events() contract.
+  /// fleet extension of the nn::Workspace::alloc_events() contract.
   std::size_t alloc_events() const { return ws_.alloc_events() + slab_events_; }
-  const nn::InferenceWorkspace& workspace() const { return ws_; }
+  const nn::Workspace& workspace() const { return ws_; }
 
   /// Protocol-inspection views of a slot's run_episodes episode, recorded at
   /// its final decision: each agent's regularized outgoing message and
@@ -122,7 +122,7 @@ class FleetRolloutEngine {
 
  private:
   /// Slab reshape that counts backing-storage growth like
-  /// InferenceWorkspace::acquire (slabs never shrink capacity).
+  /// nn::Workspace::acquire (slabs never shrink capacity).
   void reshape_slab(nn::Tensor& slab, std::size_t rows, std::size_t cols);
 
   const PairUpConfig* config_;
@@ -131,7 +131,7 @@ class FleetRolloutEngine {
   std::size_t hop1_slots_ = 0, hop2_slots_ = 0;
   std::size_t critic_input_dim_ = 0;
 
-  nn::InferenceWorkspace ws_;
+  nn::Workspace ws_;
   std::size_t slab_events_ = 0;
   /// Fleet-ordered recurrent/message state; row = slot * num_agents + agent.
   nn::Tensor h_a_, c_a_, h_v_, c_v_, msg_;

@@ -44,8 +44,13 @@ void save_trainer_state(const std::string& path, std::size_t episode,
   });
 }
 
-void load_trainer_state(const std::string& path, std::size_t& episode,
-                        Rng::State& rng) {
+struct TrainerState {
+  std::size_t episode = 0;
+  Rng::State rng;
+};
+
+// Parses a trainer-state file without touching the trainer.
+TrainerState read_trainer_state(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("load_checkpoint: cannot open " + path);
   auto read_u64 = [&in]() {
@@ -59,17 +64,14 @@ void load_trainer_state(const std::string& path, std::size_t& episode,
     throw std::runtime_error("load_checkpoint: bad magic in " + path);
   if (read_u64() != kTrainerVersion)
     throw std::runtime_error("load_checkpoint: unsupported version in " + path);
-  // Parse into locals and commit only after the whole record was read, so
-  // a truncated file leaves the caller's episode counter and RNG untouched.
-  const std::uint64_t staged_episode = read_u64();
-  Rng::State staged_rng;
-  for (std::uint64_t& word : staged_rng.s) word = read_u64();
-  in.read(reinterpret_cast<char*>(&staged_rng.cached_normal),
-          sizeof(staged_rng.cached_normal));
-  staged_rng.has_cached_normal = read_u64() != 0;
+  TrainerState state;
+  state.episode = static_cast<std::size_t>(read_u64());
+  for (std::uint64_t& word : state.rng.s) word = read_u64();
+  in.read(reinterpret_cast<char*>(&state.rng.cached_normal),
+          sizeof(state.rng.cached_normal));
+  state.rng.has_cached_normal = read_u64() != 0;
   if (!in) throw std::runtime_error("load_checkpoint: truncated file " + path);
-  episode = static_cast<std::size_t>(staged_episode);
-  rng = staged_rng;
+  return state;
 }
 
 }  // namespace
@@ -144,15 +146,24 @@ void PairUpLightTrainer::save_checkpoint(const std::string& prefix) {
 }
 
 void PairUpLightTrainer::load_checkpoint(const std::string& prefix) {
+  // Parse every file before committing any, so a missing, truncated or
+  // mismatched file throws with every model, optimizer and counter intact.
+  std::vector<nn::StagedWeights> actors, critics;
+  std::vector<nn::StagedOptimizerState> optims;
   for (std::size_t m = 0; m < actors_.size(); ++m) {
-    nn::load_weights(*actors_[m], prefix + "_actor" + std::to_string(m) + ".bin");
-    nn::load_weights(*critics_[m], prefix + "_critic" + std::to_string(m) + ".bin");
-    nn::load_optimizer_state(*optims_[m],
-                             prefix + "_optim" + std::to_string(m) + ".bin");
+    const std::string id = std::to_string(m) + ".bin";
+    actors.push_back(nn::read_weights(*actors_[m], prefix + "_actor" + id));
+    critics.push_back(nn::read_weights(*critics_[m], prefix + "_critic" + id));
+    optims.push_back(nn::read_optimizer_state(*optims_[m], prefix + "_optim" + id));
   }
-  Rng::State rng_state;
-  load_trainer_state(prefix + "_trainer.bin", episode_, rng_state);
-  rng_.set_state(rng_state);
+  const TrainerState state = read_trainer_state(prefix + "_trainer.bin");
+  for (std::size_t m = 0; m < actors_.size(); ++m) {
+    nn::commit_weights(*actors_[m], actors[m]);
+    nn::commit_weights(*critics_[m], critics[m]);
+    nn::commit_optimizer_state(*optims_[m], std::move(optims[m]));
+  }
+  episode_ = state.episode;
+  rng_.set_state(state.rng);
 }
 
 PairUpLightTrainer::CollectResult PairUpLightTrainer::collect_rollouts(

@@ -108,7 +108,7 @@ class PairUpLightTrainer {
   /// Workspace of the training fleet engine (rollouts and evaluation).
   /// Exposed so tests can assert the zero steady-state-allocation property
   /// via alloc_events().
-  const nn::InferenceWorkspace& inference_workspace() const {
+  const nn::Workspace& inference_workspace() const {
     return fleet_->workspace();
   }
 
@@ -154,7 +154,8 @@ class PairUpLightTrainer {
   /// constructed with an identical config/environment), so a resumed run
   /// continues the uninterrupted run step-for-step — weights alone are not
   /// enough, since Adam's moments/bias correction, the epsilon schedule,
-  /// and the shuffle stream all carry state.
+  /// and the shuffle stream all carry state. It parses every file before
+  /// changing anything, so a throw leaves the trainer as it was.
   void save_checkpoint(const std::string& prefix);
   void load_checkpoint(const std::string& prefix);
 
@@ -189,7 +190,7 @@ class PairUpLightTrainer {
   /// Activation/gradient buffers for the serial fused update path
   /// (update_path == kFused, num_update_shards == 1). Shard workspaces live
   /// inside updater_.
-  nn::BackwardWorkspace update_workspace_;
+  nn::Workspace update_workspace_;
   /// Collection engine over the LIVE models (single-threaded, so no frozen
   /// copies or weight sync). With num_envs = K > 1 the K replicas it steps
   /// live in fleet_envs_; with K = 1 it runs the trainer's own env_/rng_.

@@ -291,7 +291,7 @@ double shard_loss_and_grads(nn::Tape& tape, CoordinatedActor& actor,
   return tape.value(loss)[0];
 }
 
-double fused_shard_loss_and_grads(nn::BackwardWorkspace& ws,
+double fused_shard_loss_and_grads(nn::Workspace& ws,
                                   CoordinatedActor& actor,
                                   CentralizedCritic& critic,
                                   const std::vector<const rl::Sample*>& samples,
@@ -380,7 +380,7 @@ ParallelUpdateEngine::ParallelUpdateEngine(std::size_t num_shards)
   shard_ws_.reserve(num_shards_);
   for (std::size_t s = 0; s < num_shards_; ++s) {
     shard_tapes_.push_back(std::make_unique<Tape>());
-    shard_ws_.push_back(std::make_unique<nn::BackwardWorkspace>());
+    shard_ws_.push_back(std::make_unique<nn::Workspace>());
   }
 }
 

@@ -30,7 +30,7 @@
 //
 // The backward implementation is orthogonal to sharding (UpdatePath,
 // default kFused): the fused path computes the same gradients with
-// hand-written analytic kernels into preallocated BackwardWorkspace slots
+// hand-written analytic kernels into preallocated nn::Workspace slots
 // instead of building a tape graph, replaying the tape's floating-point
 // accumulation orders exactly, so every statement above carries over
 // bit-for-bit (nn/backward.hpp states the per-kernel replay contracts;
@@ -110,7 +110,7 @@ struct UpdateContext {
   const PackedSampleBlock* block = nullptr;
   /// Workspace for the serial fused (tape-free) path; required when
   /// config->update_path == UpdatePath::kFused and num_update_shards == 1.
-  nn::BackwardWorkspace* backward = nullptr;
+  nn::Workspace* backward = nullptr;
 };
 
 /// One minibatch of the historical batched PPO update: a single batched
@@ -149,7 +149,7 @@ double shard_loss_and_grads(nn::Tape& tape, CoordinatedActor& actor,
 /// caller). Loss and gradients are bit-identical to the tape functions
 /// above — every kernel replays the tape's FP accumulation order (see
 /// nn/backward.hpp; pinned by tests/test_backward_path.cpp).
-double fused_shard_loss_and_grads(nn::BackwardWorkspace& ws,
+double fused_shard_loss_and_grads(nn::Workspace& ws,
                                   CoordinatedActor& actor,
                                   CentralizedCritic& critic,
                                   const std::vector<const rl::Sample*>& samples,
@@ -194,7 +194,7 @@ class ParallelUpdateEngine {
   std::vector<std::unique_ptr<nn::Tape>> shard_tapes_;
   /// One backward workspace per shard (fused path), created in the ctor like
   /// the shard tapes.
-  std::vector<std::unique_ptr<nn::BackwardWorkspace>> shard_ws_;
+  std::vector<std::unique_ptr<nn::Workspace>> shard_ws_;
   /// slot_grads_[s][k]: shard s's gradient tensor for params[k].
   std::vector<std::vector<nn::Tensor>> slot_grads_;
   std::vector<double> slot_losses_;

@@ -12,7 +12,7 @@
 
 namespace tsc::nn {
 
-void backward_matmul_nt_acc(BackwardWorkspace& ws, Tensor& dx, const Tensor& dy,
+void backward_matmul_nt_acc(Workspace& ws, Tensor& dx, const Tensor& dy,
                             const Tensor& w) {
   const std::size_t m = dy.rows();
   const std::size_t n = dy.cols();

@@ -1,17 +1,18 @@
-// Tape-free fused backward path for training: preallocated workspace plus
-// hand-written analytic backward kernels that replay the tape's exact
-// floating-point accumulation orders.
+// Tape-free fused backward path for training: hand-written analytic
+// backward kernels that replay the tape's exact floating-point accumulation
+// orders, on the same nn::Workspace the forwards run on (nn/inference.hpp).
 //
-// This is the training-side counterpart of nn/inference.hpp. The autodiff
-// tape (nn/tape.hpp) pays, per minibatch, for graph construction (one node
-// per op), per-node value/grad tensor allocation, a copy of every weight
-// matrix (Tape::param copies the Parameter value into its node), and a
-// std::function dispatch per backward closure. None of that is needed for
-// the fixed actor/critic/PPO graph the update runs: the BackwardWorkspace
-// holds every activation and gradient buffer behind stable slots handed out
-// in acquisition order (begin_pass() rewinds the cursor), and the kernels
-// below compute the same gradients the tape would, directly into the
-// caller's gradient sinks.
+// The autodiff tape (nn/tape.hpp) pays, per minibatch, for graph
+// construction (one node per op), per-node value/grad tensor allocation, a
+// copy of every weight matrix (Tape::param copies the Parameter value into
+// its node), and a std::function dispatch per backward closure. None of
+// that is needed for the fixed actor/critic/PPO graph the update runs. A
+// training pass calls each network's one workspace forward with a trace
+// (the activations the backward reads stay in workspace slots), then the
+// network's backward_train, which computes the same gradients the tape
+// would, directly into the caller's gradient sinks. Forward and backward
+// share one workspace, one slot sequence and one alloc_events() counter;
+// the update's workspaces stay at the reference tier.
 //
 // Bit-identity contract. Every kernel replays the corresponding Tape
 // backward closure's floating-point operations exactly:
@@ -52,53 +53,9 @@
 
 namespace tsc::nn {
 
-/// Preallocated activation + gradient buffers for the tape-free training
-/// path. Thin wrapper over an InferenceWorkspace (the forward half of a
-/// training pass reuses the inference kernels, which are bit-identical to
-/// the tape), with the same zero-steady-state-allocation contract:
-/// alloc_events() stops increasing once the acquisition sequence has
-/// stabilized. One workspace per thread — the sharded update engine gives
-/// every worker its own.
-class BackwardWorkspace {
- public:
-  BackwardWorkspace() {
-    // Training forwards run the batched GEMM kernel (bit-identical to the
-    // reference kernel; see nn/tensor.hpp) — the update's matrices are
-    // minibatch-tall, which is exactly what it is blocked for. The kernel
-    // tier stays kReference: training is always bit-exact.
-    fwd_.set_batched_gemm(true);
-  }
-  BackwardWorkspace(const BackwardWorkspace&) = delete;
-  BackwardWorkspace& operator=(const BackwardWorkspace&) = delete;
-
-  /// The forward-side workspace (layer forward_inference calls route
-  /// through it; its slots share this workspace's lifetime and counter).
-  InferenceWorkspace& fwd() { return fwd_; }
-
-  /// Rewinds the slot cursor; the next acquire() reuses the first slot.
-  void begin_pass() { fwd_.begin_pass(); }
-
-  /// Next buffer, reshaped to [rows, cols]; contents unspecified.
-  Tensor& acquire(std::size_t rows, std::size_t cols) {
-    return fwd_.acquire(rows, cols);
-  }
-
-  /// acquire() + fill(0.0) — for gradient accumulators.
-  Tensor& acquire_zeroed(std::size_t rows, std::size_t cols) {
-    Tensor& t = fwd_.acquire(rows, cols);
-    t.fill(0.0);
-    return t;
-  }
-
-  /// Allocation events (slot creations + backing-storage growth). Zero
-  /// across steady-state epochs/minibatches — asserted by
-  /// tests/test_backward_path.cpp and bench_ppo_update --smoke.
-  std::size_t alloc_events() const { return fwd_.alloc_events(); }
-  std::size_t num_buffers() const { return fwd_.num_buffers(); }
-
- private:
-  InferenceWorkspace fwd_;
-};
+/// The update's workspace is the one nn::Workspace type. This alias exists
+/// only because perfbench/cpp/workload.cpp names it.
+using BackwardWorkspace = Workspace;
 
 // ---- backward kernels (loops mirror the Tape backward closures) ----
 
@@ -106,7 +63,7 @@ class BackwardWorkspace {
 /// Tape::matmul's backward (`grad += matmul_nt(g, B)`). Stages w^T in the
 /// next slot of `ws` (workspace state, never static: every shard worker owns
 /// its workspace), then runs the tiled accumulate kernel.
-void backward_matmul_nt_acc(BackwardWorkspace& ws, Tensor& dx, const Tensor& dy,
+void backward_matmul_nt_acc(Workspace& ws, Tensor& dx, const Tensor& dy,
                             const Tensor& w);
 
 /// dw [j,n] += x [m,j]^T @ dy [m,n] — the weight-gradient half of

@@ -56,95 +56,7 @@ Var GatLayer::forward(Tape& tape, Var entities, const std::vector<bool>& mask) {
   return tape.relu(w_out_->forward(tape, mixed));
 }
 
-const Tensor& GatLayer::forward_inference(InferenceWorkspace& ws,
-                                          const Tensor& entities,
-                                          const std::vector<bool>& mask) {
-  assert(entities.rows() == max_entities_);
-  assert(entities.cols() == entity_dim_);
-  assert(mask.size() == max_entities_);
-  assert(mask[0] && "row 0 (self) must be a live entity");
-
-  Tensor& self_row = ws.acquire(1, entity_dim_);  // select_row(entities, 0)
-  std::copy(entities.data(), entities.data() + entity_dim_, self_row.data());
-  const Tensor& query = w_query_->forward_inference(ws, self_row);  // [1, d]
-  const Tensor& keys = w_key_->forward_inference(ws, entities);     // [E, d]
-  const Tensor& vals = w_value_->forward_inference(ws, entities);   // [E, d]
-
-  // Per-entity scores replay the tape's mul -> sum -> scale -> mask chain:
-  // each product is rounded before the running sum, the scale by 1/sqrt(d)
-  // rounds once, and a masked slot becomes exactly dot*0.0 + (-1e9).
-  Tensor& scores = ws.acquire(1, max_entities_);
-  const double inv_sqrt_d = 1.0 / std::sqrt(static_cast<double>(out_dim_));
-  const double* pq = query.data();
-  for (std::size_t e = 0; e < max_entities_; ++e) {
-    const double* krow = keys.data() + e * out_dim_;
-    double dot = 0.0;
-    for (std::size_t j = 0; j < out_dim_; ++j) {
-      const double p = pq[j] * krow[j];
-      dot += p;
-    }
-    double score = dot * inv_sqrt_d;
-    if (!mask[e]) score = score * 0.0 + (-1e9);
-    scores[e] = score;
-  }
-  Tensor& alpha = ws.acquire(1, max_entities_);
-  softmax_rows_into(alpha, scores, ws.kernel_tier());
-
-  last_attention_.assign(alpha.data(), alpha.data() + max_entities_);
-
-  Tensor& mixed = ws.acquire(1, out_dim_);
-  matmul_into(mixed, alpha, vals);
-  Tensor& out = const_cast<Tensor&>(w_out_->forward_inference(ws, mixed));
-  relu_inplace(out);
-  return out;
-}
-
-const Tensor& GatLayer::forward_train(BackwardWorkspace& ws,
-                                      const Tensor& entities,
-                                      const std::vector<bool>& mask,
-                                      TrainTrace& trace) {
-  assert(entities.rows() == max_entities_);
-  assert(entities.cols() == entity_dim_);
-  assert(mask.size() == max_entities_);
-  assert(mask[0] && "row 0 (self) must be a live entity");
-
-  // Same arithmetic as forward_inference (reference tier), with every
-  // intermediate pinned in the trace.
-  Tensor& self_row = ws.acquire(1, entity_dim_);
-  std::copy(entities.data(), entities.data() + entity_dim_, self_row.data());
-  const Tensor& query = w_query_->forward_inference(ws.fwd(), self_row);
-  const Tensor& keys = w_key_->forward_inference(ws.fwd(), entities);
-  const Tensor& vals = w_value_->forward_inference(ws.fwd(), entities);
-
-  Tensor& scores = ws.acquire(1, max_entities_);
-  const double inv_sqrt_d = 1.0 / std::sqrt(static_cast<double>(out_dim_));
-  const double* pq = query.data();
-  for (std::size_t e = 0; e < max_entities_; ++e) {
-    const double* krow = keys.data() + e * out_dim_;
-    double dot = 0.0;
-    for (std::size_t j = 0; j < out_dim_; ++j) {
-      const double p = pq[j] * krow[j];
-      dot += p;
-    }
-    double score = dot * inv_sqrt_d;
-    if (!mask[e]) score = score * 0.0 + (-1e9);
-    scores[e] = score;
-  }
-  Tensor& alpha = ws.acquire(1, max_entities_);
-  softmax_rows_into(alpha, scores);
-
-  last_attention_.assign(alpha.data(), alpha.data() + max_entities_);
-
-  Tensor& mixed = ws.acquire(1, out_dim_);
-  matmul_into(mixed, alpha, vals);
-  Tensor& out = const_cast<Tensor&>(w_out_->forward_inference(ws.fwd(), mixed));
-  relu_inplace(out);
-
-  trace = {&self_row, &query, &keys, &vals, &alpha, &mixed, &out, &mask};
-  return out;
-}
-
-void GatLayer::backward_train(BackwardWorkspace& ws, const Tensor& entities,
+void GatLayer::backward_train(Workspace& ws, const Tensor& entities,
                               const TrainTrace& trace, const Tensor& dout,
                               Tensor* const* sinks, Tensor* dentities) const {
   const std::vector<bool>& mask = *trace.mask;
@@ -197,11 +109,12 @@ void GatLayer::backward_train(BackwardWorkspace& ws, const Tensor& entities,
   }
 }
 
-const Tensor& GatLayer::forward_inference_blocks(
-    InferenceWorkspace& ws, const Tensor& entities,
-    const std::vector<const std::vector<bool>*>& masks) {
+const Tensor& GatLayer::forward(Workspace& ws, const Tensor& entities,
+                                std::span<const std::vector<bool>* const> masks,
+                                TrainTrace* trace) {
   const std::size_t blocks = masks.size();
   assert(blocks > 0);
+  assert(trace == nullptr || blocks == 1);
   assert(entities.rows() == blocks * max_entities_);
   assert(entities.cols() == entity_dim_);
 
@@ -210,11 +123,13 @@ const Tensor& GatLayer::forward_inference_blocks(
     std::copy(entities.data() + b * max_entities_ * entity_dim_,
               entities.data() + (b * max_entities_ + 1) * entity_dim_,
               selfs.data() + b * entity_dim_);
-  const Tensor& query = w_query_->forward_inference(ws, selfs);    // [B, d]
-  const Tensor& keys = w_key_->forward_inference(ws, entities);    // [B*E, d]
-  const Tensor& vals = w_value_->forward_inference(ws, entities);  // [B*E, d]
+  const Tensor& query = w_query_->forward(ws, selfs);    // [B, d]
+  const Tensor& keys = w_key_->forward(ws, entities);    // [B*E, d]
+  const Tensor& vals = w_value_->forward(ws, entities);  // [B*E, d]
 
-  // Per-block score chain, identical to the single-block path above.
+  // Per-entity scores replay the tape's mul -> sum -> scale -> mask chain:
+  // each product is rounded before the running sum, the scale by 1/sqrt(d)
+  // rounds once, and a masked slot becomes exactly dot*0.0 + (-1e9).
   Tensor& scores = ws.acquire(blocks, max_entities_);
   const double inv_sqrt_d = 1.0 / std::sqrt(static_cast<double>(out_dim_));
   for (std::size_t b = 0; b < blocks; ++b) {
@@ -248,8 +163,10 @@ const Tensor& GatLayer::forward_inference_blocks(
                      alpha.data() + b * max_entities_,
                      vals.data() + b * max_entities_ * out_dim_,
                      /*m=*/1, max_entities_, out_dim_);
-  Tensor& out = const_cast<Tensor&>(w_out_->forward_inference(ws, mixed));
+  Tensor& out = const_cast<Tensor&>(w_out_->forward(ws, mixed));
   relu_inplace(out);
+  if (trace != nullptr)
+    *trace = {&selfs, &query, &keys, &vals, &alpha, &mixed, &out, masks[0]};
   return out;
 }
 

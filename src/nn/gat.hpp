@@ -5,6 +5,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/nn/layers.hpp"
@@ -24,27 +25,8 @@ class GatLayer : public Module {
   /// Returns [1, out_dim].
   Var forward(Tape& tape, Var entities, const std::vector<bool>& mask);
 
-  /// Tape-free forward; bit-identical to forward() (same dot/scale/mask
-  /// arithmetic, same softmax loops). Updates last_attention() like the
-  /// tape path does. The returned reference lives in the workspace.
-  const Tensor& forward_inference(InferenceWorkspace& ws, const Tensor& entities,
-                                  const std::vector<bool>& mask);
-
-  /// Block-batched tape-free forward for the fleet evaluation path:
-  /// `entities` stacks B independent neighborhoods as [B * max_entities,
-  /// entity_dim] (block b's first row is that block's self) and masks[b] is
-  /// block b's entity mask. Returns [B, out_dim] where row b is
-  /// bit-identical to forward_inference() on block b alone: the query / key
-  /// / value projections batch into single row-independent GEMMs, and the
-  /// score chain plus the per-block alpha @ vals product replay the
-  /// single-block arithmetic exactly (nn::matmul_rows_into on the stacked
-  /// buffers). last_attention() afterwards holds the LAST block's weights.
-  const Tensor& forward_inference_blocks(
-      InferenceWorkspace& ws, const Tensor& entities,
-      const std::vector<const std::vector<bool>*>& masks);
-
-  /// Activations retained by forward_train() for backward_train(); all
-  /// tensors are workspace slots (valid until the next begin_pass()).
+  /// Activations a traced forward keeps for backward_train(); all tensors
+  /// are workspace slots (valid until the next begin_pass()).
   struct TrainTrace {
     const Tensor* self_row = nullptr;  ///< [1, entity_dim]
     const Tensor* query = nullptr;     ///< [1, out_dim]
@@ -56,10 +38,21 @@ class GatLayer : public Module {
     const std::vector<bool>* mask = nullptr;
   };
 
-  /// Forward bit-identical to forward() / forward_inference(), retaining
-  /// the intermediates backward_train() needs.
-  const Tensor& forward_train(BackwardWorkspace& ws, const Tensor& entities,
-                              const std::vector<bool>& mask, TrainTrace& trace);
+  /// Block-batched workspace forward: `entities` stacks B = masks.size()
+  /// independent neighborhoods as [B * max_entities, entity_dim] (block b's
+  /// first row is that block's self) and masks[b] is block b's entity mask.
+  /// Returns [B, out_dim]; a single neighborhood is B = 1. Row b is
+  /// bit-identical to the tape forward on block b alone at the reference
+  /// tier: the query / key / value projections batch into single
+  /// row-independent GEMMs, and the score chain (mul -> sum -> scale ->
+  /// mask), the softmax loops and the per-block alpha @ vals product replay
+  /// the tape's single-block arithmetic (nn::matmul_rows_into on the
+  /// stacked buffers). last_attention() afterwards holds the LAST block's
+  /// weights. A non-null `trace` (B = 1 only) keeps the activations
+  /// backward_train() reads.
+  const Tensor& forward(Workspace& ws, const Tensor& entities,
+                        std::span<const std::vector<bool>* const> masks,
+                        TrainTrace* trace = nullptr);
 
   /// Analytic backward: `dout` is the [1, out_dim] output gradient;
   /// parameter gradients accumulate into `sinks` in parameters() order
@@ -69,7 +62,7 @@ class GatLayer : public Module {
   /// accumulation order of the three entity-gradient contributions
   /// (values term, keys term, then the self-row scatter) and the exactly
   /// skippable masked-slot score chains.
-  void backward_train(BackwardWorkspace& ws, const Tensor& entities,
+  void backward_train(Workspace& ws, const Tensor& entities,
                       const TrainTrace& trace, const Tensor& dout,
                       Tensor* const* sinks, Tensor* dentities) const;
 

@@ -6,7 +6,7 @@
 
 namespace tsc::nn {
 
-Tensor& InferenceWorkspace::acquire(std::size_t rows, std::size_t cols) {
+Tensor& Workspace::acquire(std::size_t rows, std::size_t cols) {
   if (cursor_ == slots_.size()) {
     slots_.push_back(std::make_unique<Tensor>());
     ++alloc_events_;
@@ -18,10 +18,16 @@ Tensor& InferenceWorkspace::acquire(std::size_t rows, std::size_t cols) {
   return t;
 }
 
+Tensor& Workspace::acquire_zeroed(std::size_t rows, std::size_t cols) {
+  Tensor& t = acquire(rows, cols);
+  t.fill(0.0);
+  return t;
+}
+
 // The softmax kernels below copy the input and then run the EXACT loop
 // bodies of Tape::softmax_rows / Tape::log_softmax_rows (tape.cpp): the
 // same max scan, the same exp/accumulate order, the same divide/subtract.
-// Any deviation breaks the inference path's bit-identity guarantee.
+// Any deviation breaks the workspace forwards' bit-identity guarantee.
 
 void softmax_rows_into(Tensor& out, const Tensor& in) {
   assert(&out != &in);

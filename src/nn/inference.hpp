@@ -1,29 +1,38 @@
-// Forward-only inference engine: preallocated activation buffers plus
-// tape-free kernels that replay the tape's exact floating-point operations.
+// The tape-free workspace every hand-written layer forward and backward
+// runs on, plus the element-wise kernels those forwards share.
 //
-// Rollout collection, greedy evaluation, and the baseline controllers never
-// call backward(), yet historically paid for a full autodiff tape per
-// forward pass: one node per op, each owning a freshly allocated value
-// tensor, plus a copy of every weight matrix (Tape::param copies the
-// Parameter value into its node). The InferenceWorkspace replaces all of
-// that with a flat list of reusable activation buffers handed out in
+// Rollout collection, evaluation, the baseline controllers and the PPO
+// update never need the autodiff tape's graph: one node per op, each owning
+// a freshly allocated value tensor, plus a copy of every weight matrix
+// (Tape::param copies the Parameter value into its node). A Workspace
+// replaces all of that with a flat list of reusable buffers handed out in
 // acquisition order: begin_pass() rewinds the cursor, acquire() returns the
-// next slot reshaped to the requested size. Because a decision step always
-// acquires the same shapes in the same order, every buffer reaches its peak
-// capacity after the first pass and the workspace performs ZERO steady-state
-// allocations — observable via alloc_events(), which counts slot creations
+// next slot reshaped to the requested size. Because a pass always acquires
+// the same shapes in the same order, every buffer reaches its peak capacity
+// after the first pass and the workspace performs ZERO steady-state
+// allocations, observable via alloc_events(), which counts slot creations
 // and backing-storage growth.
 //
-// Bit-identity contract: every kernel here mirrors the corresponding Tape
-// op's loop structure exactly (same operation order, same rounding), so
-// logits / messages / values / actions produced through forward_inference
-// are bit-identical to the tape path. tests/test_inference.cpp pins
-// this against the tape for the actor, critic, and all NN baselines.
+// One forward per network. Each layer (Linear, Mlp, LstmCell, GatLayer) and
+// each network built from them (the actor, the critic, CoLight's Q-network)
+// has exactly one workspace forward. Acting calls it without a trace; the
+// PPO update calls the same function with a trace, which keeps the
+// activations its analytic backward (nn/backward.hpp) reads. The
+// workspace's kernel tier selects the math kernels: kReference (the
+// default, and always the update's tier) runs the bit-exact kernels, kFast
+// the tolerance-bounded SIMD/FMA ones (nn/kernels.hpp).
 //
-// Threading: a workspace is mutable scratch — give each thread its own
-// (every core::FleetRolloutEngine owns one). Buffers returned
-// by acquire() are only valid until the next begin_pass(), so persistent
-// state (LSTM h/c) must be copied out before the next pass.
+// Bit-identity contract: at the reference tier every kernel mirrors the
+// corresponding Tape op's loop structure exactly (same operation order,
+// same rounding), so logits / messages / values / actions produced through
+// a workspace forward are bit-identical to the tape path.
+// tests/test_inference.cpp pins this against the tape for the actor,
+// critic, and all NN baselines.
+//
+// Threading: a workspace is mutable scratch; give each thread its own
+// (every core::FleetRolloutEngine and every update shard owns one). Buffers
+// returned by acquire() are only valid until the next begin_pass(), so
+// persistent state (LSTM h/c) must be copied out before the next pass.
 #pragma once
 
 #include <cstddef>
@@ -35,45 +44,36 @@
 
 namespace tsc::nn {
 
-class InferenceWorkspace {
+class Workspace {
  public:
-  InferenceWorkspace() = default;
-  InferenceWorkspace(const InferenceWorkspace&) = delete;
-  InferenceWorkspace& operator=(const InferenceWorkspace&) = delete;
+  Workspace() = default;
+  Workspace(const Workspace&) = delete;
+  Workspace& operator=(const Workspace&) = delete;
 
   /// Rewinds the buffer cursor; the next acquire() reuses the first slot.
   void begin_pass() { cursor_ = 0; }
 
-  /// Next activation buffer, reshaped to [rows, cols]. Contents are
-  /// unspecified (kernels overwrite every element). The reference stays
-  /// valid until the slot is handed out again after a begin_pass() —
-  /// slots live behind stable unique_ptrs, so earlier acquisitions of the
-  /// same pass are never invalidated by later ones.
+  /// Next buffer, reshaped to [rows, cols]. Contents are unspecified
+  /// (kernels overwrite every element). The reference stays valid until
+  /// the slot is handed out again after a begin_pass(): slots live behind
+  /// stable unique_ptrs, so earlier acquisitions of the same pass are never
+  /// invalidated by later ones.
   Tensor& acquire(std::size_t rows, std::size_t cols);
+
+  /// acquire() + fill(0.0), for gradient accumulators.
+  Tensor& acquire_zeroed(std::size_t rows, std::size_t cols);
 
   /// Total allocation events so far: slot creations plus backing-storage
   /// growth inside acquire(). Stops increasing once the acquisition
-  /// sequence has stabilized — the zero-steady-state-allocation guarantee
+  /// sequence has stabilized, the zero-steady-state-allocation guarantee
   /// tests assert on.
   std::size_t alloc_events() const { return alloc_events_; }
   std::size_t num_buffers() const { return slots_.size(); }
 
-  /// Selects the GEMM kernel the layer forwards run through this workspace:
-  /// false (default) = matmul_into, the per-agent path's reference kernel;
-  /// true = matmul_into_batched, the multi-row register-blocked kernel
-  /// tuned for fleet-sized batches. Both produce bit-identical results (see
-  /// nn/tensor.hpp); the flag exists so the fleet engine gets the batched
-  /// throughput while the per-agent path keeps running — and benchmarking
-  /// as — the exact historical kernel.
-  void set_batched_gemm(bool on) { batched_gemm_ = on; }
-  bool batched_gemm() const { return batched_gemm_; }
-
   /// Selects the math-kernel tier (nn/kernels.hpp) for every layer forward
   /// run through this workspace: kReference (default) keeps the bit-exact
-  /// legacy kernels; kFast swaps in the tolerance-bounded SIMD/FMA ones.
-  /// Orthogonal to set_batched_gemm — in the fast tier both the batched and
-  /// per-agent GEMM route to the same FMA kernel, so fleet vs per-agent
-  /// stays bit-identical WITHIN a tier.
+  /// kernels; kFast swaps in the tolerance-bounded SIMD/FMA ones. The
+  /// update's workspaces never change it, so training stays bit-exact.
   void set_kernel_tier(KernelTier tier) { kernel_tier_ = tier; }
   KernelTier kernel_tier() const { return kernel_tier_; }
 
@@ -81,7 +81,6 @@ class InferenceWorkspace {
   std::vector<std::unique_ptr<Tensor>> slots_;
   std::size_t cursor_ = 0;
   std::size_t alloc_events_ = 0;
-  bool batched_gemm_ = false;
   KernelTier kernel_tier_ = KernelTier::kReference;
 };
 

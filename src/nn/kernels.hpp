@@ -1,5 +1,5 @@
 // Kernel tiers: runtime-selectable math-kernel implementations for the
-// tape-free inference path.
+// workspace forwards (nn/inference.hpp).
 //
 //   kReference — the bit-exact kernels the repo has always run: libm
 //     exp/tanh, separate multiply+add GEMM accumulation (no FMA, no

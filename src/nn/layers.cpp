@@ -29,20 +29,16 @@ Var Linear::forward(Tape& tape, Var x) {
   return tape.add(tape.matmul(x, w), b);
 }
 
-const Tensor& Linear::forward_inference(InferenceWorkspace& ws,
-                                        const Tensor& x) const {
+const Tensor& Linear::forward(Workspace& ws, const Tensor& x) const {
   assert(x.cols() == in_);
   Tensor& out = ws.acquire(x.rows(), out_);
-  // Reference tier: both kernels are bit-identical (nn/tensor.hpp); the
-  // workspace selects the multi-row blocked one on the fleet-batched path.
-  // Fast tier: one FMA kernel for both paths, so fleet vs per-agent stays
-  // bit-identical within the tier.
+  // Reference tier: the row-blocked kernel, bit-identical to the tape's
+  // matmul (nn/tensor.hpp; below 8 rows it is the same loop). Fast tier:
+  // the FMA kernel.
   if (ws.kernel_tier() == KernelTier::kFast) {
     matmul_into_fast(out, x, weight.value);
-  } else if (ws.batched_gemm()) {
-    matmul_into_batched(out, x, weight.value);
   } else {
-    matmul_into(out, x, weight.value);
+    matmul_into_batched(out, x, weight.value);
   }
   // Broadcast bias add: same adds in the same order as Tape::add's rank-1
   // branch, on raw rows (this loop runs once per fleet GEMM over every
@@ -55,7 +51,7 @@ const Tensor& Linear::forward_inference(InferenceWorkspace& ws,
   return out;
 }
 
-void Linear::backward_train(BackwardWorkspace& ws, const Tensor& x,
+void Linear::backward_train(Workspace& ws, const Tensor& x,
                             const Tensor& dy, Tensor& dw_sink, Tensor& db_sink,
                             Tensor* dx) const {
   assert(x.cols() == in_ && dy.cols() == out_ && x.rows() == dy.rows());
@@ -93,11 +89,10 @@ Var Mlp::forward(Tape& tape, Var x) {
   return x;
 }
 
-const Tensor& Mlp::forward_inference(InferenceWorkspace& ws,
-                                     const Tensor& x) const {
+const Tensor& Mlp::forward(Workspace& ws, const Tensor& x) const {
   const Tensor* cur = &x;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
-    Tensor& out = const_cast<Tensor&>(layers_[i]->forward_inference(ws, *cur));
+    Tensor& out = const_cast<Tensor&>(layers_[i]->forward(ws, *cur));
     const bool is_output = (i + 1 == layers_.size());
     if (!is_output) {
       // In-place activation on the layer output: element-wise, so identical
@@ -111,59 +106,6 @@ const Tensor& Mlp::forward_inference(InferenceWorkspace& ws,
     cur = &out;
   }
   return *cur;
-}
-
-const Tensor& Mlp::forward_train(BackwardWorkspace& ws, const Tensor& x,
-                                 TrainTrace& trace) const {
-  trace.inputs.clear();
-  const Tensor* cur = &x;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    trace.inputs.push_back(cur);
-    Tensor& out = const_cast<Tensor&>(layers_[i]->forward_inference(ws.fwd(), *cur));
-    const bool is_output = (i + 1 == layers_.size());
-    if (!is_output) {
-      switch (act_) {
-        case Activation::kRelu: relu_inplace(out); break;
-        case Activation::kTanh: tanh_inplace(out); break;
-        case Activation::kNone: break;
-      }
-    }
-    cur = &out;
-  }
-  trace.out = cur;
-  return *cur;
-}
-
-void Mlp::backward_train(BackwardWorkspace& ws, const TrainTrace& trace,
-                         const Tensor& dy, Tensor* const* sinks,
-                         Tensor* dx) const {
-  assert(trace.inputs.size() == layers_.size());
-  const std::size_t rows = dy.rows();
-  const Tensor* g = &dy;  // gradient w.r.t. layer i's pre-activation output
-  for (std::size_t i = layers_.size(); i-- > 0;) {
-    const Tensor& in = *trace.inputs[i];
-    Tensor* din = nullptr;
-    if (i > 0) {
-      din = &ws.acquire_zeroed(rows, layers_[i]->in_features());
-    } else {
-      din = dx;
-    }
-    layers_[i]->backward_train(ws, in, *g, *sinks[2 * i], *sinks[2 * i + 1], din);
-    if (i == 0) break;
-    if (act_ == Activation::kNone) {  // no activation node on the tape either
-      g = din;
-      continue;
-    }
-    // Through the hidden activation: `in` is the previous layer's
-    // post-activation output, which is what the tape closures key off.
-    Tensor& gprev = ws.acquire_zeroed(rows, layers_[i]->in_features());
-    switch (act_) {
-      case Activation::kRelu: relu_backward_acc(gprev, *din, in); break;
-      case Activation::kTanh: tanh_backward_acc(gprev, *din, in); break;
-      case Activation::kNone: break;
-    }
-    g = &gprev;
-  }
 }
 
 LayerNorm::LayerNorm(std::size_t dim, double eps)
@@ -237,26 +179,21 @@ LstmCell::State LstmCell::forward(Tape& tape, Var x, Var h, Var c) {
   return {h_new, c_new};
 }
 
-LstmCell::InferenceState LstmCell::forward_inference(InferenceWorkspace& ws,
-                                                     const Tensor& x,
-                                                     const Tensor& h,
-                                                     const Tensor& c) const {
+LstmCell::Result LstmCell::forward(Workspace& ws, const Tensor& x,
+                                   const Tensor& h, const Tensor& c) const {
   assert(x.cols() == in_);
   assert(h.cols() == hidden_ && c.cols() == hidden_);
   const std::size_t batch = x.rows();
   const std::size_t gate_cols = 4 * hidden_;
+  const KernelTier tier = ws.kernel_tier();
   Tensor& m1 = ws.acquire(batch, gate_cols);
   Tensor& m2 = ws.acquire(batch, gate_cols);
-  const bool fast = ws.kernel_tier() == KernelTier::kFast;
-  if (fast) {
+  if (tier == KernelTier::kFast) {
     matmul_into_fast(m1, x, w_x.value);
     matmul_into_fast(m2, h, w_h.value);
-  } else if (ws.batched_gemm()) {
+  } else {
     matmul_into_batched(m1, x, w_x.value);
     matmul_into_batched(m2, h, w_h.value);
-  } else {
-    matmul_into(m1, x, w_x.value);
-    matmul_into(m2, h, w_h.value);
   }
   // gates = (x@w_x + h@w_h) + bias as two separately rounded adds, exactly
   // the tape's add(add(matmul, matmul), bias) chain.
@@ -270,118 +207,46 @@ LstmCell::InferenceState LstmCell::forward_inference(InferenceWorkspace& ws,
       grow[j] = s + pb[j];
     }
   }
+  // m2 is dead after the gate sum; its storage becomes tanh(c_new). The
+  // shrink keeps the capacity, so the next pass regrows it for free.
+  Tensor& tanh_c = m2;
+  tanh_c.reshape(batch, hidden_);
   Tensor& h_new = ws.acquire(batch, hidden_);
   Tensor& c_new = ws.acquire(batch, hidden_);
   assert(&c != &c_new && &h != &h_new && &c != &h_new && &h != &c_new);
-  if (fast) {
-    // Fast tier: batch the gate nonlinearities over the contiguous spans the
-    // i|f|g|o gate-row layout already provides — sigmoid across [0, 2H)
-    // (i and f back to back), tanh across [2H, 3H), sigmoid across [3H, 4H)
-    // — then the c/h update with one more batched tanh over the fresh cell
-    // row (m2 is dead after the gate sum above, so its rows serve as the
-    // tanh scratch). The per-element c_new arithmetic (f*c + i*g, separate
-    // rounding) matches the reference loop exactly; all tier divergence
-    // comes from the vectorized transcendentals and the FMA GEMMs.
-    for (std::size_t r = 0; r < batch; ++r) {
-      double* grow = gates.data() + r * gate_cols;
-      const double* crow = c.data() + r * hidden_;
-      double* hrow = h_new.data() + r * hidden_;
-      double* crow_new = c_new.data() + r * hidden_;
-      double* scratch = m2.data() + r * gate_cols;
-      sigmoid_inplace_tier(grow, 2 * hidden_, KernelTier::kFast);
-      tanh_inplace_tier(grow + 2 * hidden_, hidden_, KernelTier::kFast);
-      sigmoid_inplace_tier(grow + 3 * hidden_, hidden_, KernelTier::kFast);
-      for (std::size_t j = 0; j < hidden_; ++j) {
-        const double fc = grow[hidden_ + j] * crow[j];
-        const double ig = grow[j] * grow[2 * hidden_ + j];
-        const double cn = fc + ig;
-        crow_new[j] = cn;
-        scratch[j] = cn;
-      }
-      tanh_inplace_tier(scratch, hidden_, KernelTier::kFast);
-      const double* orow = grow + 3 * hidden_;
-      for (std::size_t j = 0; j < hidden_; ++j) hrow[j] = orow[j] * scratch[j];
-    }
-    return {&h_new, &c_new};
-  }
+  // The gate nonlinearities run in place over the contiguous spans the
+  // i|f|g|o layout provides: sigmoid across [0, 2H) (i and f back to back),
+  // tanh across [2H, 3H), sigmoid across [3H, 4H). Then the c/h update,
+  // with one more tanh over the fresh cell row. At the reference tier the
+  // span kernels are the tape's `1/(1+exp(-x))` and std::tanh loops; at the
+  // fast tier they vectorize. The c_new arithmetic (f*c + i*g, separately
+  // rounded) is the same on both tiers.
   for (std::size_t r = 0; r < batch; ++r) {
-    const double* grow = gates.data() + r * gate_cols;
+    double* grow = gates.data() + r * gate_cols;
     const double* crow = c.data() + r * hidden_;
     double* hrow = h_new.data() + r * hidden_;
     double* crow_new = c_new.data() + r * hidden_;
+    double* tcrow = tanh_c.data() + r * hidden_;
+    sigmoid_inplace_tier(grow, 2 * hidden_, tier);
+    tanh_inplace_tier(grow + 2 * hidden_, hidden_, tier);
+    sigmoid_inplace_tier(grow + 3 * hidden_, hidden_, tier);
     for (std::size_t j = 0; j < hidden_; ++j) {
-      const double i_gate = 1.0 / (1.0 + std::exp(-grow[j]));
-      const double f_gate = 1.0 / (1.0 + std::exp(-grow[hidden_ + j]));
-      const double g_gate = std::tanh(grow[2 * hidden_ + j]);
-      const double o_gate = 1.0 / (1.0 + std::exp(-grow[3 * hidden_ + j]));
-      const double fc = f_gate * crow[j];
-      const double ig = i_gate * g_gate;
+      const double fc = grow[hidden_ + j] * crow[j];
+      const double ig = grow[j] * grow[2 * hidden_ + j];
       const double cn = fc + ig;
       crow_new[j] = cn;
-      hrow[j] = o_gate * std::tanh(cn);
+      tcrow[j] = cn;
     }
+    tanh_inplace_tier(tcrow, hidden_, tier);
+    const double* orow = grow + 3 * hidden_;
+    for (std::size_t j = 0; j < hidden_; ++j) hrow[j] = orow[j] * tcrow[j];
   }
-  return {&h_new, &c_new};
+  return {&h_new, &c_new, &gates, &tanh_c};
 }
 
-LstmCell::TrainState LstmCell::forward_train(BackwardWorkspace& ws,
-                                             const Tensor& x, const Tensor& h,
-                                             const Tensor& c) const {
-  assert(x.cols() == in_);
-  assert(h.cols() == hidden_ && c.cols() == hidden_);
-  const std::size_t batch = x.rows();
-  const std::size_t gate_cols = 4 * hidden_;
-  Tensor& m1 = ws.acquire(batch, gate_cols);
-  Tensor& m2 = ws.acquire(batch, gate_cols);
-  // Always reference-tier GEMMs (training is bit-exact); batched vs plain
-  // are bit-identical (nn/tensor.hpp).
-  if (ws.fwd().batched_gemm()) {
-    matmul_into_batched(m1, x, w_x.value);
-    matmul_into_batched(m2, h, w_h.value);
-  } else {
-    matmul_into(m1, x, w_x.value);
-    matmul_into(m2, h, w_h.value);
-  }
-  // Gate pre-activation: the tape's add(add(x@w_x, h@w_h), bias) chain as
-  // two separately rounded adds, then the nonlinearities applied in place —
-  // m1 ends up holding the retained POST-activation gates.
-  Tensor& gates = m1;
-  const double* pb = bias.value.data();
-  Tensor& tanh_c = ws.acquire(batch, hidden_);
-  Tensor& h_new = ws.acquire(batch, hidden_);
-  assert(&c != &tanh_c && &h != &h_new && &c != &h_new && &h != &tanh_c);
-  for (std::size_t r = 0; r < batch; ++r) {
-    double* grow = gates.data() + r * gate_cols;
-    const double* m2row = m2.data() + r * gate_cols;
-    for (std::size_t j = 0; j < gate_cols; ++j) {
-      const double s = grow[j] + m2row[j];
-      grow[j] = s + pb[j];
-    }
-    const double* crow = c.data() + r * hidden_;
-    double* tcrow = tanh_c.data() + r * hidden_;
-    double* hrow = h_new.data() + r * hidden_;
-    for (std::size_t j = 0; j < hidden_; ++j) {
-      const double i_gate = 1.0 / (1.0 + std::exp(-grow[j]));
-      const double f_gate = 1.0 / (1.0 + std::exp(-grow[hidden_ + j]));
-      const double g_gate = std::tanh(grow[2 * hidden_ + j]);
-      const double o_gate = 1.0 / (1.0 + std::exp(-grow[3 * hidden_ + j]));
-      grow[j] = i_gate;
-      grow[hidden_ + j] = f_gate;
-      grow[2 * hidden_ + j] = g_gate;
-      grow[3 * hidden_ + j] = o_gate;
-      const double fc = f_gate * crow[j];
-      const double ig = i_gate * g_gate;
-      const double cn = fc + ig;
-      tcrow[j] = std::tanh(cn);
-      hrow[j] = o_gate * tcrow[j];
-    }
-  }
-  return {&h_new, &gates, &tanh_c};
-}
-
-void LstmCell::backward_train(BackwardWorkspace& ws, const Tensor& x,
+void LstmCell::backward_train(Workspace& ws, const Tensor& x,
                               const Tensor& h, const Tensor& c,
-                              const TrainState& st, const Tensor& dh,
+                              const Result& st, const Tensor& dh,
                               Tensor& dwx_sink, Tensor& dwh_sink,
                               Tensor& dbias_sink, Tensor* dx) const {
   const std::size_t batch = dh.rows();

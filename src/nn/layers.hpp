@@ -11,8 +11,7 @@
 
 namespace tsc::nn {
 
-class InferenceWorkspace;
-class BackwardWorkspace;
+class Workspace;
 
 /// y = x @ W + b, with W [in, out], b [out].
 class Linear : public Module {
@@ -23,17 +22,18 @@ class Linear : public Module {
   /// x: [batch, in] -> [batch, out].
   Var forward(Tape& tape, Var x);
 
-  /// Tape-free forward into a workspace buffer; bit-identical to forward()
-  /// (same matmul kernel, same broadcast bias-add loop). The returned
-  /// reference is valid until the workspace's next begin_pass().
-  const Tensor& forward_inference(InferenceWorkspace& ws, const Tensor& x) const;
+  /// Workspace forward into a fresh slot; at the reference tier
+  /// bit-identical to the tape forward (same GEMM chains, same broadcast
+  /// bias-add loop). The returned reference is valid until the workspace's
+  /// next begin_pass().
+  const Tensor& forward(Workspace& ws, const Tensor& x) const;
 
   /// Analytic backward of forward(): given the forward input `x` and the
   /// output gradient `dy`, accumulates db += column sums of dy and
   /// dW += x^T @ dy into the sinks, and, when dx != nullptr,
   /// dx += dy @ W^T (W^T is staged in a slot of `ws`). Bit-identical to the
   /// tape's add/matmul backward closures (see backward.hpp).
-  void backward_train(BackwardWorkspace& ws, const Tensor& x, const Tensor& dy,
+  void backward_train(Workspace& ws, const Tensor& x, const Tensor& dy,
                       Tensor& dw_sink, Tensor& db_sink, Tensor* dx) const;
 
   std::size_t in_features() const { return in_; }
@@ -58,28 +58,10 @@ class Mlp : public Module {
 
   Var forward(Tape& tape, Var x);
 
-  /// Tape-free forward; bit-identical to forward().
-  const Tensor& forward_inference(InferenceWorkspace& ws, const Tensor& x) const;
-
-  /// Retained activations of a forward_train() pass: inputs[i] points at
-  /// layer i's input (inputs[0] is the caller's x; the rest are workspace
-  /// slots holding the previous layer's post-activation output).
-  struct TrainTrace {
-    std::vector<const Tensor*> inputs;
-    const Tensor* out = nullptr;
-  };
-
-  /// Forward identical to forward_inference() (hence to forward()), but
-  /// retaining every layer input in `trace` for backward_train().
-  const Tensor& forward_train(BackwardWorkspace& ws, const Tensor& x,
-                              TrainTrace& trace) const;
-
-  /// Analytic backward: `dy` is the output gradient; parameter gradients
-  /// accumulate into `sinks` ([w0, b0, w1, b1, ...] in parameters()
-  /// order); when dx != nullptr, dx += gradient w.r.t.
-  /// the forward input. Bit-identical to the tape.
-  void backward_train(BackwardWorkspace& ws, const TrainTrace& trace,
-                      const Tensor& dy, Tensor* const* sinks, Tensor* dx) const;
+  /// Workspace forward; bit-identical to the tape forward. The layers'
+  /// GEMMs follow the workspace tier, the hidden activations always run the
+  /// reference kernels. Has no backward: the baselines train on the tape.
+  const Tensor& forward(Workspace& ws, const Tensor& x) const;
 
   std::size_t num_layers() const { return layers_.size(); }
 
@@ -137,35 +119,24 @@ class LstmCell : public Module {
   /// x: [batch, in], h/c: [batch, hidden] -> new (h, c).
   State forward(Tape& tape, Var x, Var h, Var c);
 
-  /// Tape-free forward results; the pointed-to tensors live in the
-  /// workspace and stay valid until its next begin_pass().
-  struct InferenceState {
-    const Tensor* h = nullptr;
-    const Tensor* c = nullptr;
-  };
-
-  /// Tape-free forward; bit-identical to forward() (the gate pre-activation
-  /// replays the tape's add(add(x@w_x, h@w_h), bias) rounding chain, and
-  /// c/h updates use the same mul-mul-add order). `x`, `h`, `c` must not
-  /// alias buffers acquired by this call (pass prior-pass state copies).
-  InferenceState forward_inference(InferenceWorkspace& ws, const Tensor& x,
-                                   const Tensor& h, const Tensor& c) const;
-
-  /// Activations a training step must retain for backward_train(). The
-  /// tensors live in the workspace (valid until its next begin_pass()).
-  /// c_new is not materialized: the training graphs only consume h_new, so
-  /// tanh(c_new) is all the backward needs.
-  struct TrainState {
+  /// Workspace forward results. The tensors live in the workspace and stay
+  /// valid until its next begin_pass().
+  struct Result {
     const Tensor* h = nullptr;       ///< [B, hidden] h_new
+    const Tensor* c = nullptr;       ///< [B, hidden] c_new
     const Tensor* gates = nullptr;   ///< [B, 4*hidden] post-activation i|f|g|o
     const Tensor* tanh_c = nullptr;  ///< [B, hidden] tanh(c_new)
   };
 
-  /// Forward for the tape-free training path; h_new is bit-identical to
-  /// forward() / forward_inference() (same gate pre-activation rounding
-  /// chain, same c/h update order; always reference-tier kernels).
-  TrainState forward_train(BackwardWorkspace& ws, const Tensor& x,
-                           const Tensor& h, const Tensor& c) const;
+  /// Workspace forward. At the reference tier h/c are bit-identical to the
+  /// tape forward: the gate pre-activation replays the tape's
+  /// add(add(x@w_x, h@w_h), bias) rounding chain, the gate nonlinearities
+  /// are the tape's sigmoid/tanh expressions, and the c/h updates use the
+  /// same mul-mul-add order. The gates and tanh(c_new) are what
+  /// backward_train() reads. `x`, `h`, `c` must not alias buffers acquired
+  /// by this call (pass prior-pass state copies).
+  Result forward(Workspace& ws, const Tensor& x, const Tensor& h,
+                 const Tensor& c) const;
 
   /// Analytic backward for graphs where downstream consumes only h_new
   /// (the external c_new gradient is exactly zero). `dh` is the incoming
@@ -173,8 +144,8 @@ class LstmCell : public Module {
   /// dx != nullptr, dx += gradient w.r.t. x.
   /// Gradients w.r.t. h/c (constant inputs in the training graphs) are not
   /// produced. Bit-identical to the tape's backward.
-  void backward_train(BackwardWorkspace& ws, const Tensor& x, const Tensor& h,
-                      const Tensor& c, const TrainState& st, const Tensor& dh,
+  void backward_train(Workspace& ws, const Tensor& x, const Tensor& h,
+                      const Tensor& c, const Result& st, const Tensor& dh,
                       Tensor& dwx_sink, Tensor& dwh_sink, Tensor& dbias_sink,
                       Tensor* dx) const;
 

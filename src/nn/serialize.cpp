@@ -57,7 +57,7 @@ void save_weights(Module& module, const std::string& path) {
   });
 }
 
-void load_weights(Module& module, const std::string& path) {
+StagedWeights read_weights(Module& module, const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("load_weights: cannot open " + path);
   char magic[4];
@@ -68,9 +68,7 @@ void load_weights(Module& module, const std::string& path) {
   const std::uint64_t count = read_u64(in);
   if (count != params.size())
     throw std::runtime_error("load_weights: parameter count mismatch in " + path);
-  // Stage every tensor and commit only once the whole file has been read, so
-  // a truncated or mismatched file leaves the module untouched.
-  std::vector<Tensor> staged;
+  StagedWeights staged;
   staged.reserve(params.size());
   for (Parameter* p : params) {
     const std::uint64_t rank = read_u64(in);
@@ -85,9 +83,18 @@ void load_weights(Module& module, const std::string& path) {
     read_values(in, staged.back());
   }
   if (!in) throw std::runtime_error("load_weights: truncated file " + path);
+  return staged;
+}
+
+void commit_weights(Module& module, const StagedWeights& staged) {
+  auto params = module.parameters();
   for (std::size_t k = 0; k < params.size(); ++k)
     std::copy(staged[k].data(), staged[k].data() + staged[k].size(),
               params[k]->value.data());
+}
+
+void load_weights(Module& module, const std::string& path) {
+  commit_weights(module, read_weights(module, path));
 }
 
 void save_optimizer_state(const Adam& optim, const std::string& path) {
@@ -109,7 +116,8 @@ void save_optimizer_state(const Adam& optim, const std::string& path) {
   });
 }
 
-void load_optimizer_state(Adam& optim, const std::string& path) {
+StagedOptimizerState read_optimizer_state(const Adam& optim,
+                                          const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("load_optimizer_state: cannot open " + path);
   char magic[4];
@@ -124,9 +132,10 @@ void load_optimizer_state(Adam& optim, const std::string& path) {
   if (count != optim.num_params())
     throw std::runtime_error("load_optimizer_state: parameter count mismatch in " +
                              path);
-  std::vector<Tensor> m, v;
-  m.reserve(count);
-  v.reserve(count);
+  StagedOptimizerState staged;
+  staged.steps = static_cast<std::size_t>(t);
+  staged.m.reserve(count);
+  staged.v.reserve(count);
   for (std::uint64_t k = 0; k < count; ++k) {
     const Parameter& p = *optim.params()[k];
     const std::uint64_t rank = read_u64(in);
@@ -142,11 +151,19 @@ void load_optimizer_state(Adam& optim, const std::string& path) {
     Tensor vk = Tensor::zeros_like(p.value);
     read_values(in, mk);
     read_values(in, vk);
-    m.push_back(std::move(mk));
-    v.push_back(std::move(vk));
+    staged.m.push_back(std::move(mk));
+    staged.v.push_back(std::move(vk));
   }
   if (!in) throw std::runtime_error("load_optimizer_state: truncated file " + path);
-  optim.restore_state(std::move(m), std::move(v), static_cast<std::size_t>(t));
+  return staged;
+}
+
+void commit_optimizer_state(Adam& optim, StagedOptimizerState staged) {
+  optim.restore_state(std::move(staged.m), std::move(staged.v), staged.steps);
+}
+
+void load_optimizer_state(Adam& optim, const std::string& path) {
+  commit_optimizer_state(optim, read_optimizer_state(optim, path));
 }
 
 }  // namespace tsc::nn

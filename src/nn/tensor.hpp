@@ -33,7 +33,7 @@ class Tensor {
 
   /// Rows of a rank-2 tensor; a rank-1 tensor is treated as a single row.
   /// Defined inline: rows()/cols()/at() sit inside the hot element loops of
-  /// the inference paths and must not cost an out-of-line call each.
+  /// the workspace forwards and must not cost an out-of-line call each.
   std::size_t rows() const {
     if (shape_.size() == 2) return shape_[0];
     return shape_.empty() ? 0 : 1;
@@ -91,14 +91,15 @@ class Tensor {
 Tensor matmul(const Tensor& a, const Tensor& b);
 /// matmul into a preallocated output (reshaped to [m,n]; must not alias a
 /// or b). Runs the exact same loop as matmul(), so results are bit-identical
-/// to the allocating form — the tape-free inference path depends on that.
+/// to the allocating form the tape runs.
 void matmul_into(Tensor& out, const Tensor& a, const Tensor& b);
 /// Same contract and (for finite inputs) bit-identical results as
-/// matmul_into, tuned for tall batches (the fleet-batched inference path and
-/// the training forwards): 8-row x 16-column register tiles (4 x 8 in the
-/// portable build) turn the ~2 accumulator dependency chains per output row
-/// of matmul_into into many independent ones, which is where the
-/// single-thread GEMM throughput headroom lives. Each out[i][j] still
+/// matmul_into, tuned for tall batches; every layer's workspace forward runs
+/// it at the reference tier. 8-row x 16-column register tiles (4 x 8 in the
+/// portable build; fewer rows than that run matmul_into's loop) turn the ~2
+/// accumulator dependency chains per output row of matmul_into into many
+/// independent ones, which is where the single-thread GEMM throughput
+/// headroom lives. Each out[i][j] still
 /// receives its contributions in ascending-p order with separate mul/add
 /// rounding (this translation unit builds with -ffp-contract=off, so no FMA
 /// contraction on either kernel). See the implementation for the zero-skip

@@ -65,7 +65,7 @@ void expect_bit_identical(const nn::Tensor& expected, const nn::Tensor& actual,
 
 // dx [m,k] += dy [m,n] @ w [k,n]^T against the tape's grad += matmul_nt.
 void check_nt(std::size_t m, std::size_t k, std::size_t n, Rng& rng,
-              nn::BackwardWorkspace& ws) {
+              nn::Workspace& ws) {
   const nn::Tensor dy = random_tensor(m, n, rng, 0.3, true);
   const nn::Tensor w = random_tensor(k, n, rng, 0.05, false);
   nn::Tensor expected = prior_sink(m, k, rng);
@@ -89,7 +89,7 @@ void check_tn(std::size_t m, std::size_t k, std::size_t n, Rng& rng) {
 
 TEST(BackwardKernels, NtMatchesTapeOnEveryTileBoundary) {
   Rng rng(101);
-  nn::BackwardWorkspace ws;
+  nn::Workspace ws;
   for (std::size_t m : kDims)
     for (std::size_t k : kDims)
       for (std::size_t n : kDims) check_nt(m, k, n, rng, ws);
@@ -106,7 +106,7 @@ TEST(BackwardKernels, MatchTapeAtTheUpdateShapes) {
   // One 128-row minibatch on the 6x6 grid: LSTM gates (hidden 64, 256 gate
   // columns), policy head (8 logits), value head (1), actor embed (18 in).
   Rng rng(303);
-  nn::BackwardWorkspace ws;
+  nn::Workspace ws;
   check_nt(128, 64, 256, rng, ws);
   check_nt(128, 64, 8, rng, ws);
   check_nt(128, 64, 1, rng, ws);
@@ -131,7 +131,7 @@ TEST(BackwardKernels, SignedZeroOperandsKeepTheTapesZeroSign) {
     expect_bit_identical(dw_expected, dw, "tn zeros m=" + std::to_string(m));
     EXPECT_FALSE(std::signbit(dw[0]));
 
-    nn::BackwardWorkspace ws;
+    nn::Workspace ws;
     nn::Tensor dx_expected = nn::Tensor::full(m, 16, -0.0);
     nn::Tensor dx = dx_expected;
     dx_expected += nn::matmul_nt(dy, w);
@@ -150,7 +150,7 @@ TEST(BackwardKernels, TransposeSlotIsReusedWithoutAllocating) {
   const nn::Tensor head_dy = random_tensor(128, 8, rng, 0.0, false);
   const nn::Tensor head_w = random_tensor(64, 8, rng, 0.0, false);
   nn::Tensor dx = nn::Tensor::zeros(128, 64);
-  nn::BackwardWorkspace ws;
+  nn::Workspace ws;
   auto pass = [&]() {
     ws.begin_pass();
     nn::backward_matmul_nt_acc(ws, dx, head_dy, head_w);

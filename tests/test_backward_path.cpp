@@ -6,7 +6,7 @@
 //     per layer (GAT), per loss (fused PPO vs the shard-loss graph), per
 //     minibatch slice (fused vs tape with grad redirects), and end to end
 //     (20-episode weight trajectories, serial and sharded);
-//   * the zero-steady-state-allocation contract of BackwardWorkspace;
+//   * the zero-steady-state-allocation contract of the update workspace;
 //   * oversubscribed shard counts are kept, not clamped.
 #include <gtest/gtest.h>
 
@@ -78,16 +78,16 @@ TEST(BackwardPathGradCheck, LinearBackwardMatchesCentralDifferences) {
   nn::Tensor x = random_tensor(2, 3, rng);
   const nn::Tensor coef = random_tensor(2, 4, rng);
 
-  nn::InferenceWorkspace ws;
+  nn::Workspace ws;
   auto loss = [&]() {
     ws.begin_pass();
-    return weighted_sum(coef, lin.forward_inference(ws, x));
+    return weighted_sum(coef, lin.forward(ws, x));
   };
 
   nn::Tensor dw = nn::Tensor::zeros_like(lin.weight.value);
   nn::Tensor db = nn::Tensor::zeros_like(lin.bias.value);
   nn::Tensor dx = nn::Tensor::zeros(2, 3);
-  nn::BackwardWorkspace bws;
+  nn::Workspace bws;
   lin.backward_train(bws, x, coef, dw, db, &dx);
 
   for (std::size_t i = 0; i < x.size(); ++i)
@@ -108,14 +108,14 @@ TEST(BackwardPathGradCheck, LstmCellBackwardMatchesCentralDifferences) {
   const nn::Tensor c = random_tensor(2, 4, rng, 0.5);
   const nn::Tensor coef = random_tensor(2, 4, rng);
 
-  nn::BackwardWorkspace ws;
+  nn::Workspace ws;
   auto loss = [&]() {
     ws.begin_pass();
-    return weighted_sum(coef, *lstm.forward_train(ws, x, h, c).h);
+    return weighted_sum(coef, *lstm.forward(ws, x, h, c).h);
   };
 
   ws.begin_pass();
-  const nn::LstmCell::TrainState st = lstm.forward_train(ws, x, h, c);
+  const nn::LstmCell::Result st = lstm.forward(ws, x, h, c);
   nn::Tensor dwx = nn::Tensor::zeros_like(lstm.w_x.value);
   nn::Tensor dwh = nn::Tensor::zeros_like(lstm.w_h.value);
   nn::Tensor dbias = nn::Tensor::zeros_like(lstm.bias.value);
@@ -144,16 +144,17 @@ TEST(BackwardPathGradCheck, GatBackwardMatchesCentralDifferences) {
   const std::vector<bool> mask = {true, true, false};
   const nn::Tensor coef = random_tensor(1, 4, rng);
 
-  nn::BackwardWorkspace ws;
+  const std::vector<bool>* masks[] = {&mask};
+  nn::Workspace ws;
   auto loss = [&]() {
     ws.begin_pass();
     nn::GatLayer::TrainTrace trace;
-    return weighted_sum(coef, gat.forward_train(ws, entities, mask, trace));
+    return weighted_sum(coef, gat.forward(ws, entities, masks, &trace));
   };
 
   ws.begin_pass();
   nn::GatLayer::TrainTrace trace;
-  gat.forward_train(ws, entities, mask, trace);
+  gat.forward(ws, entities, masks, &trace);
   const std::vector<nn::Parameter*> params = gat.parameters();
   ASSERT_EQ(params.size(), 8u);
   std::vector<nn::Tensor> sink_storage;
@@ -319,9 +320,10 @@ TEST(BackwardPathBitwise, GatBackwardMatchesTape) {
   nn::Var loss = tape.sum(tape.mul(out, tape.constant(coef)));
   tape.backward(loss);
 
-  nn::BackwardWorkspace ws;
+  nn::Workspace ws;
   nn::GatLayer::TrainTrace trace;
-  const nn::Tensor& fused_out = gat.forward_train(ws, entities, mask, trace);
+  const std::vector<bool>* masks[] = {&mask};
+  const nn::Tensor& fused_out = gat.forward(ws, entities, masks, &trace);
   expect_tensors_bitwise(tape.value(out), fused_out, "gat forward");
   const std::vector<nn::Parameter*> params = gat.parameters();
   std::vector<nn::Tensor> sink_storage;
@@ -390,7 +392,7 @@ TEST(BackwardPathBitwise, FusedShardGradsMatchTapeRedirects) {
 
     std::vector<nn::Tensor*> sinks;
     for (nn::Tensor& t : fused_grads) sinks.push_back(&t);
-    nn::BackwardWorkspace ws;
+    nn::Workspace ws;
     const double fused_loss = core::fused_shard_loss_and_grads(
         ws, actor, critic, samples, order, sl.begin, sl.end, samples.size(),
         config, nullptr, sinks.data(), sinks.data() + actor_count);

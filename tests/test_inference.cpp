@@ -1,19 +1,21 @@
-// Golden suite for the tape-free inference path (nn/inference.hpp) and the
+// Golden suite for the workspace forwards (nn/inference.hpp) and the
 // fleet engine that runs every PairUpLight decision (core/fleet_engine.hpp).
 //
 // The contract under test is BIT-IDENTITY with the autodiff tape, the
-// oracle: forward_inference must reproduce the tape forward's
+// oracle: each network's workspace forward must reproduce the tape forward's
 // floating-point results exactly — logits, messages, LSTM states, and
 // values. The direct tests compare the two element-for-element across
 // multiple steps (LSTM state carried separately per path, heterogeneous
 // phase counts); the tape-oracle tests re-run every sample the fleet engine
 // recorded through a tape forward from the sample's stored inputs; the
-// baseline tests run whole episodes with the baselines' own inference_path
-// flag off and on. Final tests pin the zero steady-state-allocation
-// guarantee via alloc_events().
+// baseline tests pin whole episodes to goldens recorded from the tape
+// forward and compare the baselines' networks against the tape at trained
+// weights. Final tests pin the zero steady-state-allocation guarantee via
+// alloc_events().
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include <memory>
@@ -49,7 +51,7 @@ void expect_tensor_identical(const nn::Tensor& a, const nn::Tensor& b,
 }
 
 // ---------------------------------------------------------------------------
-// Direct network-level parity: tape forward vs forward_inference over
+// Direct network-level parity: tape forward vs workspace forward over
 // several steps, each path carrying its own LSTM state.
 
 TEST(InferencePath, ActorForwardMatchesTapeBitForBit) {
@@ -61,7 +63,7 @@ TEST(InferencePath, ActorForwardMatchesTapeBitForBit) {
   core::CoordinatedActor actor(obs_dim, msg_dim, hidden, max_phases, weight_rng);
 
   Rng input_rng(21);
-  nn::InferenceWorkspace ws;
+  nn::Workspace ws;
   std::vector<double> tape_h(batch * hidden, 0.0), tape_c(batch * hidden, 0.0);
   std::vector<double> inf_h(batch * hidden, 0.0), inf_c(batch * hidden, 0.0);
 
@@ -76,7 +78,7 @@ TEST(InferencePath, ActorForwardMatchesTapeBitForBit) {
         tape.constant(nn::Tensor::matrix(batch, hidden, tape_h)),
         tape.constant(nn::Tensor::matrix(batch, hidden, tape_c)), phase_counts);
 
-    // Inference path (inputs copied into workspace buffers, like the fleet
+    // Workspace path (inputs copied into workspace buffers, like the fleet
     // engine does).
     ws.begin_pass();
     nn::Tensor& x_in = ws.acquire(batch, obs_dim + msg_dim);
@@ -85,7 +87,7 @@ TEST(InferencePath, ActorForwardMatchesTapeBitForBit) {
     std::copy(inf_h.begin(), inf_h.end(), h_in.data());
     nn::Tensor& c_in = ws.acquire(batch, hidden);
     std::copy(inf_c.begin(), inf_c.end(), c_in.data());
-    const auto inf = actor.forward_inference(ws, x_in, h_in, c_in, phase_counts);
+    const auto inf = actor.forward(ws, x_in, h_in, c_in, phase_counts);
 
     expect_tensor_identical(tape.value(out.logits), *inf.logits, "logits", step);
     expect_tensor_identical(tape.value(out.message), *inf.message, "message", step);
@@ -113,7 +115,7 @@ TEST(InferencePath, CriticForwardMatchesTapeBitForBit) {
   core::CentralizedCritic critic(input_dim, hidden, weight_rng);
 
   Rng input_rng(23);
-  nn::InferenceWorkspace ws;
+  nn::Workspace ws;
   std::vector<double> tape_h(batch * hidden, 0.0), tape_c(batch * hidden, 0.0);
   std::vector<double> inf_h(batch * hidden, 0.0), inf_c(batch * hidden, 0.0);
 
@@ -134,7 +136,7 @@ TEST(InferencePath, CriticForwardMatchesTapeBitForBit) {
     std::copy(inf_h.begin(), inf_h.end(), h_in.data());
     nn::Tensor& c_in = ws.acquire(batch, hidden);
     std::copy(inf_c.begin(), inf_c.end(), c_in.data());
-    const auto inf = critic.forward_inference(ws, x_in, h_in, c_in);
+    const auto inf = critic.forward(ws, x_in, h_in, c_in);
 
     expect_tensor_identical(tape.value(out.value), *inf.value, "value", step);
     expect_tensor_identical(tape.value(out.state.h), *inf.h, "h", step);
@@ -316,67 +318,222 @@ TEST(InferencePath, TrainerSamplesMatchTapeOracleWithParallelEnvs) {
 }
 
 // ---------------------------------------------------------------------------
-// Baseline parity: the NN baselines' action selection (and MA2C's value
-// bootstrap) run through the same workspace machinery.
+// Baseline episodes. The NN baselines act (and MA2C bootstraps its value)
+// through the networks' workspace forwards. Their whole-episode stats are
+// pinned to goldens recorded from the tape forward, the path these
+// baselines used to be able to switch to: 2 training episodes, then 1
+// evaluation episode, on the 2x2 fixture.
+
+struct StatsGolden {
+  double avg_wait, travel_time, mean_reward, delay;
+  std::size_t finished, spawned;
+};
+
+void expect_stats_golden(const env::EpisodeStats& s, const StatsGolden& g,
+                         const char* what) {
+  EXPECT_EQ(s.avg_wait, g.avg_wait) << what;
+  EXPECT_EQ(s.travel_time, g.travel_time) << what;
+  EXPECT_EQ(s.mean_reward, g.mean_reward) << what;
+  EXPECT_EQ(s.delay, g.delay) << what;
+  EXPECT_EQ(s.vehicles_finished, g.finished) << what;
+  EXPECT_EQ(s.vehicles_spawned, g.spawned) << what;
+}
+
+template <typename Trainer>
+void expect_episodes_golden(Trainer& trainer, std::uint64_t eval_seed,
+                            const StatsGolden (&goldens)[3]) {
+  expect_stats_golden(trainer.train_episode(), goldens[0], "train episode 0");
+  expect_stats_golden(trainer.train_episode(), goldens[1], "train episode 1");
+  expect_stats_golden(trainer.eval_episode(eval_seed), goldens[2],
+                      "eval episode");
+}
 
 TEST(InferencePath, IdqnEpisodesMatchTapePath) {
-  GridFixture tape_f, inf_f;
-  baselines::IdqnConfig tape_config;
-  tape_config.hidden = 16;
-  tape_config.inference_path = false;
-  baselines::IdqnConfig inf_config = tape_config;
-  inf_config.inference_path = true;
-  baselines::IdqnTrainer tape_trainer(&tape_f.environment, tape_config);
-  baselines::IdqnTrainer inf_trainer(&inf_f.environment, inf_config);
-
-  for (int e = 0; e < 2; ++e) {
-    const auto s1 = tape_trainer.train_episode();
-    const auto s2 = inf_trainer.train_episode();
-    expect_stats_identical(s1, s2, "train episode");
-  }
-  const auto e1 = tape_trainer.eval_episode(31);
-  const auto e2 = inf_trainer.eval_episode(31);
-  expect_stats_identical(e1, e2, "eval episode");
+  GridFixture f;
+  baselines::IdqnConfig config;
+  config.hidden = 16;
+  baselines::IdqnTrainer trainer(&f.environment, config);
+  const StatsGolden goldens[3] = {
+      {8.1125000000000007, 52.200000000000003, -0.45812500000000006,
+       52.200000000000003, 4, 15},
+      {12.550000000000001, 54.047619047619051, -0.71125000000000016,
+       54.047619047619051, 2, 21},
+      {5.8250000000000002, 46.045454545454547, -0.34062499999999996,
+       46.045454545454547, 5, 22},
+  };
+  expect_episodes_golden(trainer, 31, goldens);
 }
 
 TEST(InferencePath, Ma2cEpisodesMatchTapePath) {
-  GridFixture tape_f, inf_f;
-  baselines::Ma2cConfig tape_config;
-  tape_config.hidden = 16;
-  tape_config.inference_path = false;
-  baselines::Ma2cConfig inf_config = tape_config;
-  inf_config.inference_path = true;
-  baselines::Ma2cTrainer tape_trainer(&tape_f.environment, tape_config);
-  baselines::Ma2cTrainer inf_trainer(&inf_f.environment, inf_config);
-
-  for (int e = 0; e < 2; ++e) {
-    const auto s1 = tape_trainer.train_episode();
-    const auto s2 = inf_trainer.train_episode();
-    expect_stats_identical(s1, s2, "train episode");
-  }
-  const auto e1 = tape_trainer.eval_episode(32);
-  const auto e2 = inf_trainer.eval_episode(32);
-  expect_stats_identical(e1, e2, "eval episode");
+  GridFixture f;
+  baselines::Ma2cConfig config;
+  config.hidden = 16;
+  baselines::Ma2cTrainer trainer(&f.environment, config);
+  const StatsGolden goldens[3] = {
+      {5.8499999999999996, 39.217391304347828, -0.33812500000000001,
+       39.217391304347828, 4, 23},
+      {4.4000000000000004, 47.761904761904759, -0.2599999999999999,
+       47.761904761904759, 9, 21},
+      {12.5375, 53, -0.74437499999999968, 53, 7, 32},
+  };
+  expect_episodes_golden(trainer, 32, goldens);
 }
 
 TEST(InferencePath, CoLightEpisodesMatchTapePath) {
-  GridFixture tape_f, inf_f;
-  baselines::CoLightConfig tape_config;
-  tape_config.embed_dim = 16;
-  tape_config.inference_path = false;
-  baselines::CoLightConfig inf_config = tape_config;
-  inf_config.inference_path = true;
-  baselines::CoLightTrainer tape_trainer(&tape_f.environment, tape_config);
-  baselines::CoLightTrainer inf_trainer(&inf_f.environment, inf_config);
+  GridFixture f;
+  baselines::CoLightConfig config;
+  config.embed_dim = 16;
+  baselines::CoLightTrainer trainer(&f.environment, config);
+  const StatsGolden goldens[3] = {
+      {6.3250000000000002, 50.647058823529413, -0.37375000000000003,
+       50.647058823529413, 2, 17},
+      {1.425, 37.10526315789474, -0.091874999999999998, 37.10526315789474, 3,
+       19},
+      {0.050000000000000003, 33.277777777777779, -0.0050000000000000001,
+       33.277777777777779, 8, 18},
+  };
+  expect_episodes_golden(trainer, 33, goldens);
+}
 
-  for (int e = 0; e < 2; ++e) {
-    const auto s1 = tape_trainer.train_episode();
-    const auto s2 = inf_trainer.train_episode();
-    expect_stats_identical(s1, s2, "train episode");
+// Network-level parity at trained weights: the baselines' networks, after
+// two training episodes, through the tape forward and the workspace
+// forward. Inputs are 30% exact zeros, like padded observations, so the
+// GEMMs' zero-skip is exercised.
+
+nn::Tensor sparse_input(std::size_t rows, std::size_t cols, Rng& rng) {
+  nn::Tensor t = nn::Tensor::zeros(rows, cols);
+  for (double& x : t.values())
+    x = rng.bernoulli(0.3) ? 0.0 : rng.uniform(-1.5, 1.5);
+  return t;
+}
+
+std::size_t mlp_in_dim(nn::Mlp& mlp) { return mlp.parameters()[0]->value.rows(); }
+
+void expect_mlp_matches_tape(nn::Mlp& mlp, nn::Workspace& ws, Rng& rng,
+                             const char* what) {
+  for (std::size_t batch : {std::size_t{1}, std::size_t{3}, std::size_t{9}}) {
+    const nn::Tensor x = sparse_input(batch, mlp_in_dim(mlp), rng);
+    nn::Tape tape;
+    const nn::Tensor& want = tape.value(mlp.forward(tape, tape.constant(x)));
+    ws.begin_pass();
+    expect_tensor_identical(want, mlp.forward(ws, x), what, batch);
   }
-  const auto e1 = tape_trainer.eval_episode(33);
-  const auto e2 = inf_trainer.eval_episode(33);
-  expect_stats_identical(e1, e2, "eval episode");
+}
+
+TEST(InferencePath, MlpForwardMatchesTapeAtTrainedWeights) {
+  GridFixture idqn_f, ma2c_f;
+  baselines::IdqnConfig idqn_config;
+  idqn_config.hidden = 16;
+  baselines::IdqnTrainer idqn(&idqn_f.environment, idqn_config);
+  baselines::Ma2cConfig ma2c_config;
+  ma2c_config.hidden = 16;
+  baselines::Ma2cTrainer ma2c(&ma2c_f.environment, ma2c_config);
+  for (int e = 0; e < 2; ++e) {
+    idqn.train_episode();
+    ma2c.train_episode();
+  }
+  Rng rng(91);
+  nn::Workspace ws;
+  expect_mlp_matches_tape(idqn.q_network(0), ws, rng, "relu mlp (IDQN)");
+  expect_mlp_matches_tape(ma2c.actor(1), ws, rng, "tanh mlp (MA2C actor)");
+  expect_mlp_matches_tape(ma2c.critic(2), ws, rng, "tanh mlp (MA2C critic)");
+}
+
+TEST(InferencePath, Ma2cMaskedLogitsAndValueMatchTapeAtTrainedWeights) {
+  // MA2C's action distribution: logits, the 0.0 / -1e9 mask add beyond the
+  // agent's phase count, softmax and log-softmax; plus the value head. The
+  // tape side is the graph the A2C update builds; the workspace side is
+  // what act_all runs.
+  GridFixture f;
+  baselines::Ma2cConfig config;
+  config.hidden = 16;
+  baselines::Ma2cTrainer trainer(&f.environment, config);
+  for (int e = 0; e < 2; ++e) trainer.train_episode();
+  nn::Mlp& actor = trainer.actor(0);
+  nn::Mlp& critic = trainer.critic(0);
+  const std::size_t max_phases = actor.parameters().back()->value.size();
+  ASSERT_GE(max_phases, 3u);
+  const std::size_t num_phases = max_phases - 2;
+  Rng rng(92);
+  nn::Workspace ws;
+  for (std::size_t step = 0; step < 4; ++step) {
+    const nn::Tensor x = sparse_input(1, mlp_in_dim(actor), rng);
+
+    nn::Tape tape;
+    nn::Var xv = tape.constant(x);
+    nn::Tensor mask = nn::Tensor::zeros(1, max_phases);
+    for (std::size_t p = num_phases; p < max_phases; ++p) mask.at(0, p) = -1e9;
+    nn::Var logits =
+        tape.add(actor.forward(tape, xv), tape.constant(std::move(mask)));
+    nn::Var probs = tape.softmax_rows(logits);
+    nn::Var logp = tape.log_softmax_rows(logits);
+    nn::Var value = critic.forward(tape, xv);
+
+    ws.begin_pass();
+    nn::Tensor& ws_logits = const_cast<nn::Tensor&>(actor.forward(ws, x));
+    for (std::size_t p = 0; p < max_phases; ++p)
+      ws_logits.at(0, p) += p < num_phases ? 0.0 : -1e9;
+    nn::Tensor& ws_probs = ws.acquire(1, max_phases);
+    nn::softmax_rows_into(ws_probs, ws_logits, ws.kernel_tier());
+    nn::Tensor& ws_logp = ws.acquire(1, max_phases);
+    nn::log_softmax_rows_into(ws_logp, ws_logits, ws.kernel_tier());
+    const nn::Tensor& ws_value = critic.forward(ws, x);
+
+    expect_tensor_identical(tape.value(logits), ws_logits, "masked logits", step);
+    expect_tensor_identical(tape.value(probs), ws_probs, "probs", step);
+    expect_tensor_identical(tape.value(logp), ws_logp, "log-probs", step);
+    expect_tensor_identical(tape.value(value), ws_value, "value", step);
+    EXPECT_EQ(ws_probs.at(0, max_phases - 1), 0.0);  // the mask really bit
+  }
+}
+
+TEST(InferencePath, CoLightQNetMatchesTapeAtOneAndThreeBlocks) {
+  GridFixture f;
+  baselines::CoLightConfig config;
+  config.embed_dim = 16;
+  baselines::CoLightTrainer trainer(&f.environment, config);
+  for (int e = 0; e < 2; ++e) trainer.train_episode();
+  baselines::CoLightTrainer::QNet& qnet = trainer.q_network();
+  const std::size_t entities = qnet.gat->max_entities();
+  const std::size_t obs_dim = qnet.embed->in_features();
+  ASSERT_GE(entities, 3u);
+
+  // Block b pads slot e > 0 when (e + b) % 3 == 2: a different padding
+  // pattern per block, and block 2 has every slot live.
+  std::vector<std::vector<bool>> masks(3, std::vector<bool>(entities, true));
+  for (std::size_t b = 0; b < 3; ++b)
+    for (std::size_t e = 1; e < entities; ++e)
+      masks[b][e] = (e + b) % 3 != 2;
+  Rng rng(93);
+  const nn::Tensor stacked = sparse_input(3 * entities, obs_dim, rng);
+
+  // Tape oracle, one neighborhood at a time.
+  std::vector<nn::Tensor> want;
+  for (std::size_t b = 0; b < 3; ++b) {
+    nn::Tensor block = nn::Tensor::zeros(entities, obs_dim);
+    std::copy(stacked.data() + b * entities * obs_dim,
+              stacked.data() + (b + 1) * entities * obs_dim, block.data());
+    nn::Tape tape;
+    want.push_back(
+        tape.value(qnet.forward(tape, tape.constant(std::move(block)), masks[b])));
+  }
+
+  nn::Workspace ws;
+  for (std::size_t b = 0; b < 3; ++b) {  // B = 1
+    nn::Tensor block = nn::Tensor::zeros(entities, obs_dim);
+    std::copy(stacked.data() + b * entities * obs_dim,
+              stacked.data() + (b + 1) * entities * obs_dim, block.data());
+    const std::vector<bool>* one[] = {&masks[b]};
+    ws.begin_pass();
+    expect_tensor_identical(want[b], qnet.forward(ws, block, one), "B=1 q", b);
+  }
+  const std::vector<bool>* all[] = {&masks[0], &masks[1], &masks[2]};
+  ws.begin_pass();
+  const nn::Tensor& q = qnet.forward(ws, stacked, all);  // B = 3
+  ASSERT_EQ(q.rows(), 3u);
+  for (std::size_t b = 0; b < 3; ++b)
+    for (std::size_t c = 0; c < q.cols(); ++c)
+      EXPECT_EQ(q.at(b, c), want[b].at(0, c)) << "B=3 block " << b << " col " << c;
 }
 
 // ---------------------------------------------------------------------------

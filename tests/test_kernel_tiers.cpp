@@ -80,7 +80,7 @@ TEST(KernelTiers, EnvOverride) {
 TEST(KernelTiers, DefaultConfigsAreReferenceTier) {
   EXPECT_EQ(core::PairUpConfig{}.kernel_tier, nn::KernelTier::kReference);
   EXPECT_EQ(baselines::Ma2cConfig{}.kernel_tier, nn::KernelTier::kReference);
-  nn::InferenceWorkspace ws;
+  nn::Workspace ws;
   EXPECT_EQ(ws.kernel_tier(), nn::KernelTier::kReference);
 }
 
@@ -154,7 +154,7 @@ TEST(KernelTiers, FastSigmoidWithinUlpBudget) {
 }
 
 TEST(KernelTiers, FastSpecialValuesAreExact) {
-  // The identities the inference path actually leans on: a masked logit
+  // The identities the fast-tier forwards actually lean on: a masked logit
   // (-1e9 after the max shift) must produce EXACTLY zero probability, and
   // the fixed points of each squash must stay fixed points.
   double e[] = {0.0, -1e9, 1e4, -745.0, 709.0};
@@ -407,6 +407,48 @@ TEST(KernelTiers, DefaultTierReproducesPrePrGoldens) {
   EXPECT_EQ(sumsq, 160.95480015356355);
 }
 
+// The kernel tier is a rollout/evaluation knob: the PPO update's workspaces
+// stay at the reference tier whatever config.kernel_tier says, so training
+// is bit-exact on both tiers. Two trainers, one per tier, update on copies
+// of one rollout buffer (collected by a third, so both start from the same
+// RNG state) and must end with identical weights.
+TEST(KernelTiers, UpdateRunsReferenceTierUnderFastConfig) {
+  for (std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    GridFixture source_f, ref_f, fast_f;
+    core::PairUpConfig config = source_f.fast_config();
+    config.num_update_shards = shards;
+    core::PairUpConfig fast_config = config;
+    fast_config.kernel_tier = nn::KernelTier::kFast;
+
+    core::PairUpLightTrainer source(&source_f.environment, config);
+    const rl::RolloutBuffer buffer = source.collect_rollouts(500).buffer;
+    core::PairUpLightTrainer ref(&ref_f.environment, config);
+    core::PairUpLightTrainer fast(&fast_f.environment, fast_config);
+    rl::RolloutBuffer ref_buffer = buffer;
+    rl::RolloutBuffer fast_buffer = buffer;
+    ref.update(ref_buffer);
+    fast.update(fast_buffer);
+
+    std::size_t moved = 0, mismatches = 0;
+    for (std::size_t m = 0; m < ref.num_models(); ++m) {
+      std::vector<nn::Parameter*> a = ref.actor(m).parameters();
+      std::vector<nn::Parameter*> b = fast.actor(m).parameters();
+      std::vector<nn::Parameter*> init = source.actor(m).parameters();
+      for (nn::Parameter* p : ref.critic(m).parameters()) a.push_back(p);
+      for (nn::Parameter* p : fast.critic(m).parameters()) b.push_back(p);
+      for (nn::Parameter* p : source.critic(m).parameters()) init.push_back(p);
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t k = 0; k < a.size(); ++k)
+        for (std::size_t i = 0; i < a[k]->value.size(); ++i) {
+          if (a[k]->value[i] != b[k]->value[i]) ++mismatches;
+          if (a[k]->value[i] != init[k]->value[i]) ++moved;
+        }
+    }
+    EXPECT_EQ(mismatches, 0u) << "shards " << shards;
+    EXPECT_GT(moved, 0u) << "shards " << shards << ": the update changed nothing";
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Fast tier end-to-end: tolerance at the logits, parity at the actions.
 
@@ -422,7 +464,7 @@ TEST(KernelTiers, ActorForwardAcrossTiersStaysWithinTolerance) {
   core::CoordinatedActor actor(obs_dim, msg_dim, hidden, max_phases, weight_rng);
 
   Rng input_rng(21);
-  nn::InferenceWorkspace ref_ws, fast_ws;
+  nn::Workspace ref_ws, fast_ws;
   fast_ws.set_kernel_tier(nn::KernelTier::kFast);
   std::vector<double> ref_h(batch * hidden, 0.0), ref_c(batch * hidden, 0.0);
   std::vector<double> fast_h(batch * hidden, 0.0), fast_c(batch * hidden, 0.0);
@@ -431,7 +473,7 @@ TEST(KernelTiers, ActorForwardAcrossTiersStaysWithinTolerance) {
     std::vector<double> input(batch * (obs_dim + msg_dim));
     for (double& x : input) x = input_rng.uniform(-1.0, 1.0);
 
-    auto forward = [&](nn::InferenceWorkspace& ws, std::vector<double>& h,
+    auto forward = [&](nn::Workspace& ws, std::vector<double>& h,
                        std::vector<double>& c) {
       ws.begin_pass();
       nn::Tensor& x_in = ws.acquire(batch, obs_dim + msg_dim);
@@ -440,7 +482,7 @@ TEST(KernelTiers, ActorForwardAcrossTiersStaysWithinTolerance) {
       std::copy(h.begin(), h.end(), h_in.data());
       nn::Tensor& c_in = ws.acquire(batch, hidden);
       std::copy(c.begin(), c.end(), c_in.data());
-      const auto out = actor.forward_inference(ws, x_in, h_in, c_in, phase_counts);
+      const auto out = actor.forward(ws, x_in, h_in, c_in, phase_counts);
       h.assign(out.h->data(), out.h->data() + batch * hidden);
       c.assign(out.c->data(), out.c->data() + batch * hidden);
       return out;

@@ -305,5 +305,51 @@ TEST(TrainerResume, TruncatedTrainerStateLeavesEpisodeUnchanged) {
     std::remove((prefix + suffix).c_str());
 }
 
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+// load_checkpoint used to load file by file, so a bad _optim0.bin or
+// _trainer.bin threw after the earlier models had been overwritten. The
+// target's own checkpoint, saved before and after the failed load, must be
+// byte-identical: weights, Adam moments and step count, the episode counter
+// and the RNG stream all unchanged.
+TEST(TrainerResume, CorruptLaterFileLeavesModelsUnchanged) {
+  GridFixture source_f, target_f;
+  core::PairUpLightTrainer source(&source_f.environment, source_f.fast_config());
+  for (int e = 0; e < 3; ++e) source.train_episode();
+  core::PairUpLightTrainer target(&target_f.environment, target_f.fast_config());
+  target.train_episode();  // non-initial weights, moments and counter
+  const std::string prefix = temp_path("corrupt_later_ckpt");
+  const std::string before = temp_path("corrupt_later_before");
+  const std::string after = temp_path("corrupt_later_after");
+  const char* files[] = {"_actor0.bin", "_critic0.bin", "_optim0.bin",
+                         "_trainer.bin"};
+  target.save_checkpoint(before);
+
+  for (const char* bad : {"_optim0.bin", "_trainer.bin"}) {
+    source.save_checkpoint(prefix);
+    ASSERT_TRUE(file_bytes(prefix + "_actor0.bin") !=
+                file_bytes(before + "_actor0.bin"))
+        << "source and target weights must differ for the check to bite";
+    const std::string bytes = file_bytes(prefix + bad);
+    ASSERT_GT(bytes.size(), 40u);
+    {
+      std::ofstream out(prefix + bad, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
+    }
+    EXPECT_THROW(target.load_checkpoint(prefix), std::runtime_error) << bad;
+    EXPECT_EQ(target.episodes_trained(), 1u) << bad;
+    target.save_checkpoint(after);
+    for (const char* file : files)
+      EXPECT_TRUE(file_bytes(before + file) == file_bytes(after + file))
+          << file << " changed by a load that failed on " << bad;
+  }
+  for (const std::string& p : {prefix, before, after})
+    for (const char* file : files) std::remove((p + file).c_str());
+}
+
 }  // namespace
 }  // namespace tsc

@@ -15,8 +15,8 @@
 #   ThreadPool / MergeRollouts / ParallelRollout / TscEnvClone   (rollouts)
 #   ParallelUpdate / ShardedUpdate / OptimizerCheckpoint / TrainerResume
 #                          (updates: sharded minibatches on the thread pool)
-#   InferencePath          (inference workspaces and the tape oracle over
-#                           collected rollouts)
+#   InferencePath          (workspace forwards against the tape oracle,
+#                           over collected rollouts and at trained weights)
 #   FleetBatched           (lockstep fleet engine: batched GEMM kernels, slab
 #                           state, baseline fleet eval — single-threaded but
 #                           heavy on raw-pointer row packing)
