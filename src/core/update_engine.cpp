@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <future>
+#include <stdexcept>
+#include <string>
 
 #include "src/rl/ppo.hpp"
 
@@ -143,7 +146,151 @@ void gather_scalars(const std::vector<const rl::Sample*>& samples,
   }
 }
 
+/// Copies `width` values from `src` into row `r` of `dst`, after checking
+/// that the row has the width the network reads (a mismatched buffer would
+/// otherwise be read or written past its end).
+void copy_row(const double* src, std::size_t width, Tensor& dst, std::size_t r,
+              const char* what) {
+  if (width != dst.cols())
+    throw std::invalid_argument(std::string("minibatch ") + what + " row has " +
+                                std::to_string(width) + " values, the network "
+                                "reads " + std::to_string(dst.cols()));
+  std::copy(src, src + width, dst.data() + r * width);
+}
+
+/// The actor's half of one fused minibatch pass on `ws` (after the caller's
+/// begin_pass): gathers the actor's rows and PPO scalars, runs the traced
+/// forward, the policy half of the loss, and the analytic backward into
+/// `sinks`. Touches nothing the critic half touches.
+rl::PolicyLossTerms fused_actor_half(
+    nn::Workspace& ws, const CoordinatedActor& actor,
+    const std::vector<const rl::Sample*>& samples, const PackedSampleBlock* block,
+    const std::vector<std::size_t>& order, std::size_t begin, std::size_t rows,
+    std::size_t batch, const rl::PpoConfig& ppo, Tensor* const* sinks) {
+  std::vector<std::size_t> actions(rows), phase_counts(rows);
+  std::vector<double> old_logp(rows), advantages(rows);
+  Tensor& input = ws.acquire(rows, actor.input_dim());
+  Tensor& h = ws.acquire(rows, actor.hidden_size());
+  Tensor& c = ws.acquire(rows, actor.hidden_size());
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::size_t src = order[begin + r];
+    if (block != nullptr) {
+      copy_row(block->obs_row(src), block->obs_dim(), input, r, "actor input");
+      copy_row(block->h_actor_row(src), block->hidden(), h, r, "actor h");
+      copy_row(block->c_actor_row(src), block->hidden(), c, r, "actor c");
+      actions[r] = block->action(src);
+      phase_counts[r] = block->phase_count(src);
+      old_logp[r] = block->log_prob(src);
+      advantages[r] = block->advantage(src);
+    } else {
+      const rl::Sample& s = *samples[src];
+      copy_row(s.obs.data(), s.obs.size(), input, r, "actor input");
+      copy_row(s.h_actor.data(), s.h_actor.size(), h, r, "actor h");
+      copy_row(s.c_actor.data(), s.c_actor.size(), c, r, "actor c");
+      actions[r] = s.action;
+      phase_counts[r] = s.phase_count;
+      old_logp[r] = s.log_prob;
+      advantages[r] = s.advantage;
+    }
+  }
+  CoordinatedActor::TrainActivations acts;
+  const Tensor& logits = actor.forward_train(ws, input, h, c, phase_counts, acts);
+  Tensor& p = ws.acquire(rows, actor.max_phases());
+  Tensor& logp = ws.acquire(rows, actor.max_phases());
+  Tensor& dlogits = ws.acquire(rows, actor.max_phases());
+  const rl::PolicyLossTerms terms = rl::fused_policy_loss_grad(
+      logits, actions, old_logp, advantages, batch, ppo, p, logp, dlogits);
+  actor.backward_train(ws, acts, dlogits, sinks);
+  return terms;
+}
+
+/// The critic's half of the same pass: its rows and returns, traced
+/// forward, value half of the loss, backward. Returns the value loss.
+double fused_critic_half(nn::Workspace& ws, const CentralizedCritic& critic,
+                         const std::vector<const rl::Sample*>& samples,
+                         const PackedSampleBlock* block,
+                         const std::vector<std::size_t>& order,
+                         std::size_t begin, std::size_t rows, std::size_t batch,
+                         const rl::PpoConfig& ppo, Tensor* const* sinks) {
+  std::vector<double> returns(rows);
+  Tensor& input = ws.acquire(rows, critic.input_dim());
+  Tensor& h = ws.acquire(rows, critic.hidden_size());
+  Tensor& c = ws.acquire(rows, critic.hidden_size());
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::size_t src = order[begin + r];
+    if (block != nullptr) {
+      copy_row(block->critic_obs_row(src), block->critic_dim(), input, r,
+               "critic input");
+      copy_row(block->h_critic_row(src), block->hidden(), h, r, "critic h");
+      copy_row(block->c_critic_row(src), block->hidden(), c, r, "critic c");
+      returns[r] = block->ret(src);
+    } else {
+      const rl::Sample& s = *samples[src];
+      copy_row(s.critic_obs.data(), s.critic_obs.size(), input, r,
+               "critic input");
+      copy_row(s.h_critic.data(), s.h_critic.size(), h, r, "critic h");
+      copy_row(s.c_critic.data(), s.c_critic.size(), c, r, "critic c");
+      returns[r] = s.ret;
+    }
+  }
+  CentralizedCritic::TrainActivations acts;
+  const Tensor& values = critic.forward_train(ws, input, h, c, acts);
+  Tensor& dvalues = ws.acquire(rows, 1);
+  const double value_loss =
+      rl::fused_value_loss_grad(values, returns, batch, ppo, dvalues);
+  critic.backward_train(ws, acts, dvalues, sinks);
+  return value_loss;
+}
+
+/// Runs `main` on the calling thread and `side` on the lane's thread, then
+/// returns side's result; with no lane, runs main then side here. Always
+/// waits for `side` before returning or rethrowing, since side reads the
+/// caller's frame. An exception from either reaches the caller (main's
+/// first when both throw).
+template <typename Main, typename Side>
+auto run_beside(UpdateLane* lane, Main&& main, Side&& side) {
+  if (lane == nullptr) {
+    main();
+    return side();
+  }
+  auto side_done = lane->submit([&side] { return side(); });
+  try {
+    main();
+  } catch (...) {
+    side_done.wait();
+    throw;
+  }
+  return side_done.get();
+}
+
+/// The end of every minibatch update: clip, the non-finite guard, Adam.
+/// The actor's and the critic's parameter ranges step on the two threads
+/// when there is a lane (Adam is elementwise, so the split is exact).
+void clip_and_step(UpdateContext& ctx, double loss, std::size_t begin,
+                   std::size_t end) {
+  const double norm =
+      nn::clip_grad_norm(ctx.params, ctx.config->ppo.max_grad_norm);
+  if (!std::isfinite(loss) || !std::isfinite(norm))
+    throw TrainingDiverged(begin, end, loss, norm);
+  nn::Adam& optim = *ctx.optim;
+  const std::size_t actor_count = ctx.actor->parameters().size();
+  optim.begin_step();
+  run_beside(
+      ctx.lane, [&] { optim.apply_range(0, actor_count); },
+      [&] { optim.apply_range(actor_count, optim.num_params()); });
+}
+
 }  // namespace
+
+TrainingDiverged::TrainingDiverged(std::size_t begin, std::size_t end,
+                                   double loss, double grad_norm)
+    : std::runtime_error("PPO minibatch [" + std::to_string(begin) + ", " +
+                         std::to_string(end) + ") diverged: loss " +
+                         std::to_string(loss) + ", pre-clip gradient norm " +
+                         std::to_string(grad_norm) +
+                         "; its Adam step was not applied"),
+      begin_(begin),
+      end_(end) {}
 
 void PackedSampleBlock::build(const std::vector<const rl::Sample*>& samples,
                               std::size_t obs_dim, std::size_t critic_dim,
@@ -205,9 +352,8 @@ double serial_minibatch_update(UpdateContext& ctx,
     const std::size_t actor_count = actor.parameters().size();
     const double loss = fused_shard_loss_and_grads(
         *ctx.backward, actor, critic, samples, order, begin, end, batch,
-        config, ctx.block, sinks.data(), sinks.data() + actor_count);
-    nn::clip_grad_norm(ctx.params, config.ppo.max_grad_norm);
-    ctx.optim->step();
+        config, ctx.block, sinks.data(), sinks.data() + actor_count, ctx.lane);
+    clip_and_step(ctx, loss, begin, end);
     return loss;
   }
 
@@ -242,9 +388,9 @@ double serial_minibatch_update(UpdateContext& ctx,
   actor.zero_grad();
   critic.zero_grad();
   tape.backward(loss);
-  nn::clip_grad_norm(ctx.params, config.ppo.max_grad_norm);
-  ctx.optim->step();
-  return tape.value(loss)[0];
+  const double loss_value = tape.value(loss)[0];
+  clip_and_step(ctx, loss_value, begin, end);
+  return loss_value;
 }
 
 double shard_loss_and_grads(nn::Tape& tape, CoordinatedActor& actor,
@@ -300,78 +446,28 @@ double fused_shard_loss_and_grads(nn::Workspace& ws,
                                   std::size_t batch, const PairUpConfig& config,
                                   const PackedSampleBlock* block,
                                   nn::Tensor* const* actor_sinks,
-                                  nn::Tensor* const* critic_sinks) {
+                                  nn::Tensor* const* critic_sinks,
+                                  UpdateLane* lane) {
   assert(begin < end && end <= order.size());
   const std::size_t rows = end - begin;
-  const std::size_t hidden = actor.hidden_size();
-
-  std::vector<std::size_t> actions(rows), phase_counts(rows);
-  std::vector<double> old_logp(rows), advantages(rows), returns(rows);
-  gather_scalars(samples, block, order, begin, rows, actions, phase_counts,
-                 old_logp, advantages, returns);
-
-  // Fixed acquisition sequence per pass — after the first minibatch of a
-  // shape, the workspace recycles every slot (alloc_events() flatlines).
+  // Fixed acquisition sequence per pass and per workspace, so after the
+  // first minibatch of a shape every slot is recycled (alloc_events()
+  // flatlines).
   ws.begin_pass();
-  Tensor& input = ws.acquire(rows, actor.input_dim());
-  Tensor& h_a = ws.acquire(rows, hidden);
-  Tensor& c_a = ws.acquire(rows, hidden);
-  Tensor& v_input = ws.acquire(rows, critic.input_dim());
-  Tensor& h_v = ws.acquire(rows, hidden);
-  Tensor& c_v = ws.acquire(rows, hidden);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::size_t src = order[begin + r];
-    if (block != nullptr) {
-      std::copy(block->obs_row(src), block->obs_row(src) + block->obs_dim(),
-                input.data() + r * block->obs_dim());
-      std::copy(block->h_actor_row(src),
-                block->h_actor_row(src) + block->hidden(),
-                h_a.data() + r * hidden);
-      std::copy(block->c_actor_row(src),
-                block->c_actor_row(src) + block->hidden(),
-                c_a.data() + r * hidden);
-      std::copy(block->critic_obs_row(src),
-                block->critic_obs_row(src) + block->critic_dim(),
-                v_input.data() + r * block->critic_dim());
-      std::copy(block->h_critic_row(src),
-                block->h_critic_row(src) + block->hidden(),
-                h_v.data() + r * hidden);
-      std::copy(block->c_critic_row(src),
-                block->c_critic_row(src) + block->hidden(),
-                c_v.data() + r * hidden);
-    } else {
-      const rl::Sample& s = *samples[src];
-      assert(s.obs.size() == actor.input_dim());
-      assert(s.critic_obs.size() == critic.input_dim());
-      std::copy(s.obs.begin(), s.obs.end(),
-                input.data() + r * actor.input_dim());
-      std::copy(s.h_actor.begin(), s.h_actor.end(), h_a.data() + r * hidden);
-      std::copy(s.c_actor.begin(), s.c_actor.end(), c_a.data() + r * hidden);
-      std::copy(s.critic_obs.begin(), s.critic_obs.end(),
-                v_input.data() + r * critic.input_dim());
-      std::copy(s.h_critic.begin(), s.h_critic.end(), h_v.data() + r * hidden);
-      std::copy(s.c_critic.begin(), s.c_critic.end(), c_v.data() + r * hidden);
-    }
-  }
-
-  CoordinatedActor::TrainActivations a_acts;
-  const Tensor& logits =
-      actor.forward_train(ws, input, h_a, c_a, phase_counts, a_acts);
-  CentralizedCritic::TrainActivations c_acts;
-  const Tensor& values = critic.forward_train(ws, v_input, h_v, c_v, c_acts);
-
-  Tensor& p = ws.acquire(rows, actor.max_phases());
-  Tensor& logp = ws.acquire(rows, actor.max_phases());
-  Tensor& dlogits = ws.acquire(rows, actor.max_phases());
-  Tensor& dvalues = ws.acquire(rows, 1);
-  const double loss =
-      rl::fused_ppo_loss_grad(logits, values, actions, old_logp, advantages,
-                              returns, batch, config.ppo, p, logp, dlogits,
-                              dvalues);
-
-  actor.backward_train(ws, a_acts, dlogits, actor_sinks);
-  critic.backward_train(ws, c_acts, dvalues, critic_sinks);
-  return loss;
+  nn::Workspace& critic_ws = lane != nullptr ? lane->workspace() : ws;
+  rl::PolicyLossTerms policy;
+  const double value_loss = run_beside(
+      lane,
+      [&] {
+        policy = fused_actor_half(ws, actor, samples, block, order, begin, rows,
+                                  batch, config.ppo, actor_sinks);
+      },
+      [&] {
+        if (lane != nullptr) critic_ws.begin_pass();
+        return fused_critic_half(critic_ws, critic, samples, block, order,
+                                 begin, rows, batch, config.ppo, critic_sinks);
+      });
+  return rl::ppo_loss_from_terms(policy, value_loss, config.ppo);
 }
 
 ParallelUpdateEngine::ParallelUpdateEngine(std::size_t num_shards)
@@ -470,12 +566,14 @@ double ParallelUpdateEngine::run_minibatch(
       reduced_grads_[k] += slot_grads_[shard][k];
   }
 
-  nn::clip_grad_norm(reduced_grads_, ctx.config->ppo.max_grad_norm);
-  ctx.optim->step_with_grads(reduced_grads_);
-
   double loss = 0.0;
   for (std::size_t shard = 0; shard < num_shards_; ++shard)
     loss += slot_losses_[shard];
+  const double norm =
+      nn::clip_grad_norm(reduced_grads_, ctx.config->ppo.max_grad_norm);
+  if (!std::isfinite(loss) || !std::isfinite(norm))
+    throw TrainingDiverged(begin, end, loss, norm);
+  ctx.optim->step_with_grads(reduced_grads_);
   return loss;
 }
 

@@ -7,6 +7,25 @@
 // trainer) and (b) the ParallelUpdateEngine, which splits the minibatch
 // across thread-pool workers.
 //
+// Actor ∥ critic. The actor and the critic share nothing in a minibatch
+// until clip_grad_norm: each has its own inputs, forward, half of the loss
+// (rl::fused_policy_loss_grad / rl::fused_value_loss_grad), backward and
+// gradient sinks. When UpdateContext::lane is set, the serial fused update
+// runs the critic's half on the lane's thread and workspace while the
+// actor's half runs on the calling thread, joins once, combines the loss
+// scalar in the single-thread expression order, clips on the calling
+// thread (one ordered sum over actor then critic parameters), and then
+// applies Adam's actor and critic parameter ranges on the two threads.
+// With a null lane the same calls run one after the other on the calling
+// thread. Each network's kernels, operand order and gradient sinks are the
+// same either way, so the two schedules are bit-identical
+// (tests/test_update_lane.cpp).
+//
+// Non-finite guard. Every minibatch update checks the loss and the
+// pre-clip gradient norm before Adam runs and throws TrainingDiverged when
+// either is not finite, so a NaN never reaches the weights or the Adam
+// moments.
+//
 // The sharded update runs ONE batched forward/backward per worker over its
 // contiguous minibatch slice, scaled as its rows/batch share of the
 // minibatch via rl::ppo_shard_loss (every batch mean is sum()/B with the
@@ -15,7 +34,8 @@
 // slots in shard order before the single clip_grad_norm + Adam step.
 // Workers share the live (frozen-by-barrier) weights read-only, and each
 // shard's gradients land in dedicated slot tensors, never in
-// Parameter::grad.
+// Parameter::grad. Shards run their actor and critic halves one after the
+// other (no lane).
 //
 // Determinism. Every cross-row reduction in this stack folds sequentially
 // over batch rows in increasing row order (the weight-gradient matmul_tn per
@@ -42,6 +62,8 @@
 
 #include <cstddef>
 #include <memory>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "src/core/actor.hpp"
@@ -94,6 +116,43 @@ class PackedSampleBlock {
   std::vector<double> log_probs_, advantages_, returns_;
 };
 
+/// Thrown by the minibatch updates when a minibatch's loss or pre-clip
+/// gradient norm is not finite. It is thrown before Adam runs, so the
+/// weights and the Adam moments and step count are those from before the
+/// minibatch. begin()/end() are the minibatch's range of positions in the
+/// shuffled sample order.
+class TrainingDiverged : public std::runtime_error {
+ public:
+  TrainingDiverged(std::size_t begin, std::size_t end, double loss,
+                   double grad_norm);
+  std::size_t begin() const { return begin_; }
+  std::size_t end() const { return end_; }
+
+ private:
+  std::size_t begin_, end_;
+};
+
+/// The serial fused update's second thread: one persistent worker that
+/// runs each minibatch's critic half and the critic's Adam range, and the
+/// workspace the critic's activations live in. The worker sleeps between
+/// submissions. Not thread-safe itself: one update drives it at a time.
+class UpdateLane {
+ public:
+  nn::Workspace& workspace() { return workspace_; }
+  const nn::Workspace& workspace() const { return workspace_; }
+
+  /// Runs `fn` on the lane's thread; the returned future yields its result
+  /// or rethrows what it threw.
+  template <typename F>
+  auto submit(F&& fn) {
+    return pool_.submit(std::forward<F>(fn));
+  }
+
+ private:
+  nn::Workspace workspace_;
+  util::ThreadPool pool_{1};  ///< declared last: joined before the workspace dies
+};
+
 /// The mutable collaborators of one model's PPO update. All pointers are
 /// non-owning and must outlive the call.
 struct UpdateContext {
@@ -110,14 +169,25 @@ struct UpdateContext {
   const PackedSampleBlock* block = nullptr;
   /// Workspace for the serial fused (tape-free) path; required when
   /// config->update_path == UpdatePath::kFused and num_update_shards == 1.
+  /// Holds the actor's activations, and the critic's too when `lane` is
+  /// null.
   nn::Workspace* backward = nullptr;
+  /// Optional second thread for serial_minibatch_update: runs the critic
+  /// half and the critic's Adam range beside the actor's (see the file
+  /// comment). Null runs everything on the calling thread; the result is
+  /// bit-identical either way. The sharded engine ignores it.
+  UpdateLane* lane = nullptr;
 };
 
 /// One minibatch of the historical batched PPO update: a single batched
 /// forward/backward over samples[order[begin..end)], clip_grad_norm over
-/// ctx.params, one Adam step. This is the pre-refactor trainer loop body
-/// moved verbatim; the num_update_shards = 1 golden regression pins it.
-/// Returns the minibatch loss.
+/// ctx.params, one Adam step; the num_update_shards = 1 golden regression
+/// pins it. On the fused path the actor and critic halves run on two
+/// threads when ctx.lane is set. Returns the minibatch loss. Throws
+/// TrainingDiverged (before Adam) on a non-finite loss or gradient norm,
+/// and, on the fused path, std::invalid_argument when a row's width does
+/// not match its network; either way the weights and Adam state are left
+/// untouched.
 double serial_minibatch_update(UpdateContext& ctx,
                                const std::vector<const rl::Sample*>& samples,
                                const std::vector<std::size_t>& order,
@@ -158,7 +228,8 @@ double fused_shard_loss_and_grads(nn::Workspace& ws,
                                   std::size_t batch, const PairUpConfig& config,
                                   const PackedSampleBlock* block,
                                   nn::Tensor* const* actor_sinks,
-                                  nn::Tensor* const* critic_sinks);
+                                  nn::Tensor* const* critic_sinks,
+                                  UpdateLane* lane = nullptr);
 
 /// Shards each minibatch's forward/backward work across a reusable thread
 /// pool (contiguous sample ranges, one batched pass and one scratch tape per
@@ -172,9 +243,10 @@ class ParallelUpdateEngine {
 
   std::size_t num_shards() const { return num_shards_; }
 
-  /// Sharded equivalent of serial_minibatch_update (ctx.tape is unused).
-  /// Returns the sum of the per-shard scaled losses — the same quantity as
-  /// the serial minibatch loss up to FP summation order.
+  /// Sharded equivalent of serial_minibatch_update (ctx.tape and ctx.lane
+  /// are unused). Returns the sum of the per-shard scaled losses — the same
+  /// quantity as the serial minibatch loss up to FP summation order. Throws
+  /// TrainingDiverged like serial_minibatch_update.
   double run_minibatch(UpdateContext& ctx,
                        const std::vector<const rl::Sample*>& samples,
                        const std::vector<std::size_t>& order,

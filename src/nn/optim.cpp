@@ -1,5 +1,6 @@
 #include "src/nn/optim.hpp"
 
+#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -63,11 +64,20 @@ void Adam::apply_param(std::size_t k, const Tensor& grad, double bc1, double bc2
 }
 
 void Adam::step() {
+  begin_step();
+  apply_range(0, params_.size());
+}
+
+void Adam::begin_step() {
   ++t_;
-  const double bc1 = 1.0 - std::pow(config_.beta1, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(config_.beta2, static_cast<double>(t_));
-  for (std::size_t k = 0; k < params_.size(); ++k)
-    apply_param(k, params_[k]->grad, bc1, bc2);
+  bc1_ = 1.0 - std::pow(config_.beta1, static_cast<double>(t_));
+  bc2_ = 1.0 - std::pow(config_.beta2, static_cast<double>(t_));
+}
+
+void Adam::apply_range(std::size_t lo, std::size_t hi) {
+  assert(lo <= hi && hi <= params_.size());
+  for (std::size_t k = lo; k < hi; ++k)
+    apply_param(k, params_[k]->grad, bc1_, bc2_);
 }
 
 void Adam::step_with_grads(const std::vector<Tensor>& grads) {
@@ -77,11 +87,9 @@ void Adam::step_with_grads(const std::vector<Tensor>& grads) {
     if (!grads[k].same_shape(params_[k]->value))
       throw std::invalid_argument("Adam::step_with_grads: shape mismatch for " +
                                   params_[k]->name);
-  ++t_;
-  const double bc1 = 1.0 - std::pow(config_.beta1, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(config_.beta2, static_cast<double>(t_));
+  begin_step();
   for (std::size_t k = 0; k < params_.size(); ++k)
-    apply_param(k, grads[k], bc1, bc2);
+    apply_param(k, grads[k], bc1_, bc2_);
 }
 
 void Adam::restore_state(std::vector<Tensor> m, std::vector<Tensor> v,

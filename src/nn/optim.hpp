@@ -44,8 +44,19 @@ class Adam {
   Adam(std::vector<Parameter*> params, Config config);
   explicit Adam(std::vector<Parameter*> params) : Adam(std::move(params), Config{}) {}
 
-  /// Applies one update from the parameters' current gradients.
+  /// Applies one update from the parameters' current gradients:
+  /// begin_step() then apply_range(0, num_params()).
   void step();
+
+  /// step() in two parts, so disjoint parameter ranges can be applied on
+  /// different threads. begin_step() advances the step count and fixes its
+  /// bias corrections; apply_range(lo, hi) then updates parameters
+  /// [lo, hi) from their grad tensors. Adam is elementwise per parameter,
+  /// so any partition of [0, num_params()) applied after one begin_step()
+  /// is bit-identical to step(). Ranges applied concurrently must not
+  /// overlap.
+  void begin_step();
+  void apply_range(std::size_t lo, std::size_t hi);
 
   /// Applies one update reading gradients positionally from `grads` instead
   /// of the parameters' own grad tensors; the parameters' grad tensors are
@@ -77,6 +88,7 @@ class Adam {
   std::vector<Tensor> m_;
   std::vector<Tensor> v_;
   std::size_t t_ = 0;
+  double bc1_ = 1.0, bc2_ = 1.0;  ///< bias corrections of step t_
 };
 
 }  // namespace tsc::nn

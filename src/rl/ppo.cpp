@@ -89,25 +89,22 @@ nn::Var ppo_shard_loss(nn::Tape& tape, nn::Var new_logp, nn::Var entropy,
   return loss;
 }
 
-double fused_ppo_loss_grad(const nn::Tensor& logits, const nn::Tensor& values,
-                           const std::vector<std::size_t>& actions,
-                           const std::vector<double>& old_logp,
-                           const std::vector<double>& advantages,
-                           const std::vector<double>& returns,
-                           std::size_t divisor, const PpoConfig& config,
-                           nn::Tensor& p, nn::Tensor& logp, nn::Tensor& dlogits,
-                           nn::Tensor& dvalues) {
+PolicyLossTerms fused_policy_loss_grad(const nn::Tensor& logits,
+                                       const std::vector<std::size_t>& actions,
+                                       const std::vector<double>& old_logp,
+                                       const std::vector<double>& advantages,
+                                       std::size_t divisor,
+                                       const PpoConfig& config, nn::Tensor& p,
+                                       nn::Tensor& logp, nn::Tensor& dlogits) {
   const std::size_t rows = logits.rows();
   const std::size_t cols = logits.cols();
   assert(divisor >= rows && divisor > 0);
   assert(actions.size() == rows && old_logp.size() == rows);
-  assert(advantages.size() == rows && returns.size() == rows);
-  assert(values.rows() == rows && values.cols() == 1);
+  assert(advantages.size() == rows);
 
   nn::softmax_rows_into(p, logits);
   nn::log_softmax_rows_into(logp, logits);
   dlogits.reshape(rows, cols);
-  dvalues.reshape(rows, 1);
 
   const double d = static_cast<double>(divisor);
   const double lo = 1.0 - config.clip_eps;
@@ -115,7 +112,6 @@ double fused_ppo_loss_grad(const nn::Tensor& logits, const nn::Tensor& values,
   const double c_ent = -1.0 / d;
   const double* plp = logp.data();
   const double* pp = p.data();
-  const double* pv = values.data();
 
   // ---- loss forward, rounding-for-rounding the tape graph's values ----
   // (ascending-row sums; each tensor op's intermediate rounded exactly
@@ -128,18 +124,11 @@ double fused_ppo_loss_grad(const nn::Tensor& logits, const nn::Tensor& values,
     const double cl = std::clamp(ratio, lo, hi) * advantages[r];
     po_sum += std::min(u, cl);
   }
-  double ss = 0.0;
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double vs = pv[r] - returns[r];
-    ss += vs * vs;
-  }
   double plogp = 0.0;
   for (std::size_t i = 0; i < rows * cols; ++i) plogp += pp[i] * plp[i];
-  const double entropy = plogp * c_ent;
-  const double po = po_sum / d;
-  const double vl = ss / d;
-  const double loss =
-      (po * -1.0) + ((vl * config.value_coef) - (entropy * config.entropy_coef));
+  PolicyLossTerms terms;
+  terms.entropy = plogp * c_ent;
+  terms.surrogate = po_sum / d;
 
   // ---- backward scalars, in the tape's descending node order ----
   // Every `0.0 +` is a tape node-grad seed (`grad += term` onto zeros): it
@@ -148,17 +137,8 @@ double fused_ppo_loss_grad(const nn::Tensor& logits, const nn::Tensor& values,
   const double g_e = 0.0 + config.entropy_coef * g_se;  // scale backward
   const double g_s = 0.0 + c_ent * g_e;
   const double g_m = 0.0 + g_s;                         // sum backward
-  const double g_vl = 0.0 + config.value_coef * 1.0;
-  const double g_ss = 0.0 + g_vl / d;                   // div_scalar backward
   const double g_po = 0.0 + -1.0 * 1.0;                 // neg (scale by -1)
   const double g_sm = 0.0 + g_po / d;
-
-  const double g_sq = 0.0 + g_ss;  // sum backward, broadcast per row
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double vs = pv[r] - returns[r];
-    const double g_vs = 0.0 + 2.0 * g_sq * vs;  // square backward
-    dvalues[r] = 0.0 + g_vs;                    // sub backward -> dV
-  }
 
   for (std::size_t r = 0; r < rows; ++r) {
     const std::size_t a = actions[r];
@@ -217,7 +197,59 @@ double fused_ppo_loss_grad(const nn::Tensor& logits, const nn::Tensor& values,
       drow[c] = 0.0 + t3 + t2 + t1;
     }
   }
-  return loss;
+  return terms;
+}
+
+
+double fused_value_loss_grad(const nn::Tensor& values,
+                             const std::vector<double>& returns,
+                             std::size_t divisor, const PpoConfig& config,
+                             nn::Tensor& dvalues) {
+  const std::size_t rows = values.rows();
+  assert(divisor >= rows && divisor > 0);
+  assert(returns.size() == rows && values.cols() == 1);
+  dvalues.reshape(rows, 1);
+  const double d = static_cast<double>(divisor);
+  const double* pv = values.data();
+
+  double ss = 0.0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double vs = pv[r] - returns[r];
+    ss += vs * vs;
+  }
+
+  // Backward scalars as in fused_policy_loss_grad's tape-order chain.
+  const double g_vl = 0.0 + config.value_coef * 1.0;
+  const double g_ss = 0.0 + g_vl / d;  // div_scalar backward
+  const double g_sq = 0.0 + g_ss;      // sum backward, broadcast per row
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double vs = pv[r] - returns[r];
+    const double g_vs = 0.0 + 2.0 * g_sq * vs;  // square backward
+    dvalues[r] = 0.0 + g_vs;                    // sub backward -> dV
+  }
+  return ss / d;
+}
+
+double ppo_loss_from_terms(const PolicyLossTerms& policy, double value_loss,
+                           const PpoConfig& config) {
+  return (policy.surrogate * -1.0) +
+         ((value_loss * config.value_coef) - (policy.entropy * config.entropy_coef));
+}
+
+double fused_ppo_loss_grad(const nn::Tensor& logits, const nn::Tensor& values,
+                           const std::vector<std::size_t>& actions,
+                           const std::vector<double>& old_logp,
+                           const std::vector<double>& advantages,
+                           const std::vector<double>& returns,
+                           std::size_t divisor, const PpoConfig& config,
+                           nn::Tensor& p, nn::Tensor& logp, nn::Tensor& dlogits,
+                           nn::Tensor& dvalues) {
+  assert(values.rows() == logits.rows());
+  const PolicyLossTerms policy = fused_policy_loss_grad(
+      logits, actions, old_logp, advantages, divisor, config, p, logp, dlogits);
+  const double value_loss =
+      fused_value_loss_grad(values, returns, divisor, config, dvalues);
+  return ppo_loss_from_terms(policy, value_loss, config);
 }
 
 double epsilon_at(std::size_t episode, const PpoConfig& config) {

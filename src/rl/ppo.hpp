@@ -79,7 +79,8 @@ nn::Var ppo_shard_loss(nn::Tape& tape, nn::Var new_logp, nn::Var entropy,
 /// tape's descending node order) — replays the tape's rounding exactly, so
 /// the returned loss and the emitted gradients are bit-identical to
 /// building the graph and calling Tape::backward (pinned by
-/// tests/test_backward_path.cpp).
+/// tests/test_backward_path.cpp). It is fused_policy_loss_grad plus
+/// fused_value_loss_grad, combined by ppo_loss_from_terms.
 double fused_ppo_loss_grad(const nn::Tensor& logits, const nn::Tensor& values,
                            const std::vector<std::size_t>& actions,
                            const std::vector<double>& old_logp,
@@ -88,6 +89,36 @@ double fused_ppo_loss_grad(const nn::Tensor& logits, const nn::Tensor& values,
                            std::size_t divisor, const PpoConfig& config,
                            nn::Tensor& p, nn::Tensor& logp, nn::Tensor& dlogits,
                            nn::Tensor& dvalues);
+
+/// The policy terms of the loss: the clipped surrogate mean (po) and the
+/// policy entropy mean, each already divided by the divisor.
+struct PolicyLossTerms {
+  double surrogate = 0.0;
+  double entropy = 0.0;
+};
+
+/// The actor's half of fused_ppo_loss_grad: fills `p`, `logp` and
+/// `dlogits` exactly as it does and returns the policy terms. Reads nothing
+/// of the critic, so it can run beside fused_value_loss_grad.
+PolicyLossTerms fused_policy_loss_grad(const nn::Tensor& logits,
+                                       const std::vector<std::size_t>& actions,
+                                       const std::vector<double>& old_logp,
+                                       const std::vector<double>& advantages,
+                                       std::size_t divisor,
+                                       const PpoConfig& config, nn::Tensor& p,
+                                       nn::Tensor& logp, nn::Tensor& dlogits);
+
+/// The critic's half of fused_ppo_loss_grad: fills `dvalues` exactly as it
+/// does and returns the value loss (the squared-error sum / divisor).
+double fused_value_loss_grad(const nn::Tensor& values,
+                             const std::vector<double>& returns,
+                             std::size_t divisor, const PpoConfig& config,
+                             nn::Tensor& dvalues);
+
+/// The scalar loss from the two halves, in fused_ppo_loss_grad's (and the
+/// tape graph's) expression order: -po + (value_coef·vl − entropy_coef·H).
+double ppo_loss_from_terms(const PolicyLossTerms& policy, double value_loss,
+                           const PpoConfig& config);
 
 /// Linear epsilon decay: start -> end over `decay_episodes`.
 double epsilon_at(std::size_t episode, const PpoConfig& config);

@@ -15,6 +15,10 @@
 #   ThreadPool / MergeRollouts / ParallelRollout / TscEnvClone   (rollouts)
 #   ParallelUpdate / ShardedUpdate / OptimizerCheckpoint / TrainerResume
 #                          (updates: sharded minibatches on the thread pool)
+#   UpdateLane / TrainingDiverged
+#                          (the default update's second thread: critic half
+#                           and critic Adam range beside the actor's, its
+#                           exception hand-off, and the non-finite guard)
 #   InferencePath          (workspace forwards against the tape oracle,
 #                           over collected rollouts and at trained weights)
 #   FleetBatched           (lockstep fleet engine: batched GEMM kernels, slab
@@ -53,8 +57,8 @@
 set -euo pipefail
 
 SRC_DIR="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
-FILTER='ThreadPool|MergeRollouts|ParallelRollout|TscEnvClone|ParallelUpdate|ShardedUpdate|OptimizerCheckpoint|TrainerResume|InferencePath|FleetBatched|InvariantSeeding|SimHotPath|SensorSnapshot|SensorModel|KernelTiers|RunStore|FlatJson|Proc|AtomicCheckpoint|SweepExpansion|FleetEndToEnd|BackwardKernels|BackwardPath'
-TARGETS=(test_parallel_rollout test_parallel_update test_sharded_update test_backward_kernels test_backward_path test_inference test_kernel_tiers test_invariant_seeding test_sim_hotpath test_sensor_model test_fleet_orchestrator tsc_fleet)
+FILTER='ThreadPool|MergeRollouts|ParallelRollout|TscEnvClone|ParallelUpdate|ShardedUpdate|OptimizerCheckpoint|TrainerResume|InferencePath|FleetBatched|InvariantSeeding|SimHotPath|SensorSnapshot|SensorModel|KernelTiers|RunStore|FlatJson|Proc|AtomicCheckpoint|SweepExpansion|FleetEndToEnd|BackwardKernels|BackwardPath|UpdateLane|TrainingDiverged'
+TARGETS=(test_parallel_rollout test_parallel_update test_sharded_update test_update_lane test_backward_kernels test_backward_path test_inference test_kernel_tiers test_invariant_seeding test_sim_hotpath test_sensor_model test_fleet_orchestrator tsc_fleet)
 PORTABLE_FILTER='BackwardKernels|BackwardPath|InferencePath|KernelTiers'
 PORTABLE_TARGETS=(test_backward_kernels test_backward_path test_inference test_kernel_tiers)
 
@@ -64,7 +68,7 @@ run_one() {
   shift 3
   echo "=== preset: $preset (build dir: $build_dir) ==="
   (cd "$SRC_DIR" && cmake --preset "$preset")
-  cmake --build "$build_dir" -j --target "$@"
+  cmake --build "$build_dir" -j "$(nproc)" --target "$@"
   (cd "$build_dir" && ctest -R "$filter" --no-tests=error --output-on-failure)
   echo "=== preset: $preset OK ==="
 }
