@@ -1,7 +1,9 @@
 // Microbenchmarks for the substrates (google-benchmark): simulator step
 // throughput, tensor/tape costs, the fused update's backward GEMMs,
 // actor/critic forward passes, PPO update minibatches, scenario
-// construction, and the kernel-tier math kernels.
+// construction, the kernel-tier math kernels, and the fork/join cost of the
+// update's thread team against a ThreadPool round trip (with heap
+// allocations per join, counted by the operator new replacement below).
 // These guard the design decisions in DESIGN.md section 4 (tape autodiff
 // overhead, link-queue step cost) and section 10 (fast-tier error budgets).
 //
@@ -12,14 +14,17 @@
 // enforced by the default test run.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cinttypes>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <new>
 #include <string_view>
 #include <vector>
 
@@ -35,6 +40,36 @@
 #include "src/scenarios/grid.hpp"
 #include "src/scenarios/monaco.hpp"
 #include "src/sim/simulator.hpp"
+#include "src/util/thread_pool.hpp"
+#include "src/util/thread_team.hpp"
+
+// Every heap allocation of the process, counted for the join-cost rows.
+// (GCC flags free() on operator new's result once these replacements are
+// inlined; here both sides are malloc/free.)
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+namespace {
+std::atomic<std::size_t> g_heap_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t a = static_cast<std::size_t>(align);
+  if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -257,6 +292,37 @@ void BM_PpoMinibatchUpdate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PpoMinibatchUpdate);
+
+// ---------------------------------------------------------------------------
+// Fork/join cost of the update's threads. ThreadPoolRoundTrip is one
+// util::ThreadPool(1) submit + future.get() of an empty task: the round
+// trip the update's one extra thread (the former UpdateLane) paid twice per
+// minibatch. TeamPhase/N is one empty phase over all N threads of a
+// util::ThreadTeam, the join the update now pays per layer kernel.
+// allocs_per_join counts heap allocations per join, on every thread.
+
+void BM_JoinThreadPoolRoundTrip(benchmark::State& state) {
+  util::ThreadPool pool(1);
+  pool.submit([] {}).get();
+  const std::size_t before = g_heap_allocations.load();
+  for (auto _ : state) pool.submit([] {}).get();
+  state.counters["allocs_per_join"] = benchmark::Counter(
+      static_cast<double>(g_heap_allocations.load() - before) /
+      static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_JoinThreadPoolRoundTrip)->UseRealTime();
+
+void BM_JoinTeamPhase(benchmark::State& state) {
+  util::ThreadTeam team(static_cast<std::size_t>(state.range(0)));
+  team.all().run([](std::size_t) {});
+  const std::size_t before = g_heap_allocations.load();
+  for (auto _ : state) team.all().run([](std::size_t) {});
+  state.counters["allocs_per_join"] = benchmark::Counter(
+      static_cast<double>(g_heap_allocations.load() - before) /
+      static_cast<double>(state.iterations()));
+  team.park();
+}
+BENCHMARK(BM_JoinTeamPhase)->Arg(2)->Arg(4)->UseRealTime();
 
 // ---------------------------------------------------------------------------
 // Kernel tiers (nn/kernels.hpp): reference vs fast transcendentals over the

@@ -14,7 +14,9 @@
 // Two distinct speedup sources, worth separating when reading results:
 //   * threads - batched shards only win via parallelism, so rows that
 //     request more shards than the box has hardware threads are flagged
-//     thread_limited (hardware_threads is printed alongside);
+//     thread_limited (hardware_threads is printed alongside); the fused
+//     serial row runs on the update's thread team of hardware_threads
+//     threads (bit-identical to one thread, tests/test_update_team.cpp);
 //   * the fused path - drops tape-graph construction entirely (no per-node
 //     allocation/bookkeeping, analytic backward kernels into preallocated
 //     workspace slots; nn/backward.hpp). Wins on any core count; expect
@@ -23,9 +25,12 @@
 // slices stay wide.
 //
 // Results land on stdout and in BENCH_ppo_update.json for machine
-// consumption. The speedup column is relative to the first row (tape,
-// serial), so the fused serial row reads directly as the headline
-// fused-vs-tape gain.
+// consumption, stamped like perfbench's records: git sha (`git describe
+// --always --dirty` in the working directory, so a record made from
+// uncommitted sources says so; "unknown" outside a checkout), build type,
+// compiler, kernel tier and hardware threads. The speedup column is
+// relative to the first row (tape, serial), so the fused serial row reads
+// directly as the headline fused-vs-tape gain.
 //
 // `--smoke` runs a tiny wiring check instead (4x4 grid): it asserts the
 // fused path's backward workspace reaches a zero-allocation steady state
@@ -34,6 +39,7 @@
 //
 // Knobs: PAIRUP_EPISODES (update rounds per configuration, default 3),
 // PAIRUP_EPISODE_SECONDS (default 600), PAIRUP_TIME_SCALE, PAIRUP_SEED.
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -66,6 +72,21 @@ std::string row_name(const Row& r) {
                                          std::to_string(r.num_update_shards));
 }
 
+// HEAD of the git checkout around the working directory, suffixed
+// "-dirty" when tracked files differ from it, or "unknown".
+std::string git_sha() {
+  std::string sha;
+  if (std::FILE* p =
+          popen("git describe --always --dirty --abbrev=40 2>/dev/null", "r")) {
+    std::array<char, 80> buf{};
+    if (std::fgets(buf.data(), static_cast<int>(buf.size()), p) != nullptr)
+      sha = buf.data();
+    pclose(p);
+  }
+  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) sha.pop_back();
+  return sha.empty() ? "unknown" : sha;
+}
+
 void write_json(const std::string& path, const bench::HarnessConfig& config,
                 const core::PairUpConfig& pairup, const std::vector<Row>& rows) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -75,6 +96,11 @@ void write_json(const std::string& path, const bench::HarnessConfig& config,
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"ppo_update\",\n");
+  std::fprintf(f, "  \"git_sha\": \"%s\",\n", git_sha().c_str());
+  std::fprintf(f, "  \"build_type\": \"%s\",\n", TSC_BUILD_TYPE);
+  std::fprintf(f, "  \"compiler\": \"%s\",\n", TSC_COMPILER);
+  std::fprintf(f, "  \"kernel_tier\": \"%s\",\n",
+               nn::kernel_tier_name(config.kernel_tier));
   std::fprintf(f, "  \"hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
   std::fprintf(f, "  \"grid\": [%zu, %zu],\n", config.grid_rows, config.grid_cols);

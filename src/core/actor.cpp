@@ -55,15 +55,17 @@ CoordinatedActor::Output CoordinatedActor::forward(
 
 CoordinatedActor::Result CoordinatedActor::forward(
     nn::Workspace& ws, const Tensor& input, const Tensor& h, const Tensor& c,
-    const std::vector<std::size_t>& phase_counts, TrainActivations* trace) const {
+    const std::vector<std::size_t>& phase_counts, TrainActivations* trace,
+    util::Crew* crew) const {
   const std::size_t batch = input.rows();
   assert(input.cols() == input_dim());
   assert(phase_counts.size() == batch);
 
-  Tensor& x = const_cast<Tensor&>(embed_->forward(ws, input));
-  nn::tanh_inplace(x, ws.kernel_tier());
-  const LstmCell::Result state = lstm_->forward(ws, x, h, c);
-  Tensor& logits = const_cast<Tensor&>(policy_head_->forward(ws, *state.h));
+  Tensor& x = const_cast<Tensor&>(embed_->forward(ws, input, crew));
+  nn::tanh_inplace(x, ws.kernel_tier(), crew);
+  const LstmCell::Result state = lstm_->forward(ws, x, h, c, crew);
+  Tensor& logits =
+      const_cast<Tensor&>(policy_head_->forward(ws, *state.h, crew));
 
   // Mask invalid phases exactly like the tape path: an element-wise add of
   // 0.0 (valid) or -1e9 (invalid), applied only when some row needs it.
@@ -80,27 +82,29 @@ CoordinatedActor::Result CoordinatedActor::forward(
     *trace = {&input, &h, &c, &x, state, &logits};
     return {&logits, nullptr, state.h, state.c};
   }
-  const Tensor& message = message_head_->forward(ws, *state.h);
+  const Tensor& message = message_head_->forward(ws, *state.h, crew);
   return {&logits, &message, state.h, state.c};
 }
 
 void CoordinatedActor::backward_train(nn::Workspace& ws,
                                       const TrainActivations& acts,
                                       const Tensor& dlogits,
-                                      Tensor* const* sinks) const {
+                                      Tensor* const* sinks,
+                                      util::Crew* crew) const {
   const std::size_t rows = dlogits.rows();
   // The mask add is a constant node: dlogits passes through unchanged. The
   // message head contributes exact zeros everywhere (see forward()), so
   // the LSTM state gradient is the policy head's alone.
   Tensor& dh = ws.acquire_zeroed(rows, hidden_);
   policy_head_->backward_train(ws, *acts.lstm.h, dlogits, *sinks[5], *sinks[6],
-                               &dh);
+                               &dh, crew);
   Tensor& dx = ws.acquire_zeroed(rows, hidden_);
   lstm_->backward_train(ws, *acts.x, *acts.h_in, *acts.c_in, acts.lstm, dh,
-                        *sinks[2], *sinks[3], *sinks[4], &dx);
+                        *sinks[2], *sinks[3], *sinks[4], &dx, crew);
   Tensor& dembed = ws.acquire_zeroed(rows, hidden_);
-  nn::tanh_backward_acc(dembed, dx, *acts.x);
-  embed_->backward_train(ws, *acts.input, dembed, *sinks[0], *sinks[1], nullptr);
+  nn::tanh_backward_acc(dembed, dx, *acts.x, crew);
+  embed_->backward_train(ws, *acts.input, dembed, *sinks[0], *sinks[1], nullptr,
+                         crew);
 }
 
 }  // namespace tsc::core

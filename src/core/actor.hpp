@@ -13,6 +13,7 @@
 
 #include "src/nn/layers.hpp"
 #include "src/nn/module.hpp"
+#include "src/util/thread_team.hpp"
 
 namespace tsc::core {
 
@@ -61,11 +62,14 @@ class CoordinatedActor : public tsc::nn::Module {
   /// a trace it keeps the activations backward_train() reads and skips the
   /// message head: the PPO loss never consumes it, so on the tape its
   /// output gradient is exactly zero and its parameter gradients stay
-  /// exactly +0.0, which skipping reproduces bit for bit.
+  /// exactly +0.0, which skipping reproduces bit for bit. A crew (led by
+  /// the calling thread) splits every layer by row blocks; the result is
+  /// bit-identical at every crew size (nn/inference.hpp).
   Result forward(tsc::nn::Workspace& ws, const tsc::nn::Tensor& input,
                  const tsc::nn::Tensor& h, const tsc::nn::Tensor& c,
                  const std::vector<std::size_t>& phase_counts,
-                 TrainActivations* trace = nullptr) const;
+                 TrainActivations* trace = nullptr,
+                 tsc::util::Crew* crew = nullptr) const;
 
   /// The traced forward(), returning the masked logits.
   const tsc::nn::Tensor& forward_train(tsc::nn::Workspace& ws,
@@ -73,8 +77,9 @@ class CoordinatedActor : public tsc::nn::Module {
                                        const tsc::nn::Tensor& h,
                                        const tsc::nn::Tensor& c,
                                        const std::vector<std::size_t>& phase_counts,
-                                       TrainActivations& acts) const {
-    return *forward(ws, input, h, c, phase_counts, &acts).logits;
+                                       TrainActivations& acts,
+                                       tsc::util::Crew* crew = nullptr) const {
+    return *forward(ws, input, h, c, phase_counts, &acts, crew).logits;
   }
 
   /// Analytic backward of a traced forward(): `dlogits` is the loss gradient
@@ -82,10 +87,11 @@ class CoordinatedActor : public tsc::nn::Module {
   /// `sinks`, ordered exactly like parameters(): [embed.w, embed.b,
   /// lstm.w_x, lstm.w_h, lstm.bias, policy.w, policy.b, msg.w, msg.b]
   /// (the last two are left untouched; see forward()). Bit-identical
-  /// to Tape::backward over forward()'s graph.
+  /// to Tape::backward over forward()'s graph, with or without a crew.
   void backward_train(tsc::nn::Workspace& ws, const TrainActivations& acts,
                       const tsc::nn::Tensor& dlogits,
-                      tsc::nn::Tensor* const* sinks) const;
+                      tsc::nn::Tensor* const* sinks,
+                      tsc::util::Crew* crew = nullptr) const;
 
   std::size_t obs_dim() const { return obs_dim_; }
   std::size_t msg_dim() const { return msg_dim_; }

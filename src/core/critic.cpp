@@ -34,12 +34,12 @@ CentralizedCritic::Output CentralizedCritic::forward(Tape& tape, Var input, Var 
 
 CentralizedCritic::Result CentralizedCritic::forward(
     nn::Workspace& ws, const nn::Tensor& input, const nn::Tensor& h,
-    const nn::Tensor& c, TrainActivations* trace) const {
+    const nn::Tensor& c, TrainActivations* trace, util::Crew* crew) const {
   assert(input.cols() == input_dim_);
-  nn::Tensor& x = const_cast<nn::Tensor&>(embed_->forward(ws, input));
-  nn::tanh_inplace(x, ws.kernel_tier());
-  const LstmCell::Result state = lstm_->forward(ws, x, h, c);
-  const nn::Tensor& value = value_head_->forward(ws, *state.h);
+  nn::Tensor& x = const_cast<nn::Tensor&>(embed_->forward(ws, input, crew));
+  nn::tanh_inplace(x, ws.kernel_tier(), crew);
+  const LstmCell::Result state = lstm_->forward(ws, x, h, c, crew);
+  const nn::Tensor& value = value_head_->forward(ws, *state.h, crew);
   if (trace != nullptr) *trace = {&input, &h, &c, &x, state, &value};
   return {&value, state.h, state.c};
 }
@@ -47,17 +47,19 @@ CentralizedCritic::Result CentralizedCritic::forward(
 void CentralizedCritic::backward_train(nn::Workspace& ws,
                                        const TrainActivations& acts,
                                        const nn::Tensor& dvalues,
-                                       nn::Tensor* const* sinks) const {
+                                       nn::Tensor* const* sinks,
+                                       util::Crew* crew) const {
   const std::size_t rows = dvalues.rows();
   nn::Tensor& dh = ws.acquire_zeroed(rows, hidden_);
   value_head_->backward_train(ws, *acts.lstm.h, dvalues, *sinks[5], *sinks[6],
-                              &dh);
+                              &dh, crew);
   nn::Tensor& dx = ws.acquire_zeroed(rows, hidden_);
   lstm_->backward_train(ws, *acts.x, *acts.h_in, *acts.c_in, acts.lstm, dh,
-                        *sinks[2], *sinks[3], *sinks[4], &dx);
+                        *sinks[2], *sinks[3], *sinks[4], &dx, crew);
   nn::Tensor& dembed = ws.acquire_zeroed(rows, hidden_);
-  nn::tanh_backward_acc(dembed, dx, *acts.x);
-  embed_->backward_train(ws, *acts.input, dembed, *sinks[0], *sinks[1], nullptr);
+  nn::tanh_backward_acc(dembed, dx, *acts.x, crew);
+  embed_->backward_train(ws, *acts.input, dembed, *sinks[0], *sinks[1], nullptr,
+                         crew);
 }
 
 }  // namespace tsc::core

@@ -11,6 +11,7 @@
 
 #include "src/nn/layers.hpp"
 #include "src/nn/module.hpp"
+#include "src/util/thread_team.hpp"
 
 namespace tsc::core {
 
@@ -48,28 +49,32 @@ class CentralizedCritic : public tsc::nn::Module {
 
   /// Workspace forward; at the reference tier bit-identical to the tape
   /// forward. A non-null `trace` keeps the activations backward_train()
-  /// reads.
+  /// reads. A crew (led by the calling thread) splits every layer by row
+  /// blocks, bit-identically (nn/inference.hpp).
   Result forward(tsc::nn::Workspace& ws, const tsc::nn::Tensor& input,
                  const tsc::nn::Tensor& h, const tsc::nn::Tensor& c,
-                 TrainActivations* trace = nullptr) const;
+                 TrainActivations* trace = nullptr,
+                 tsc::util::Crew* crew = nullptr) const;
 
   /// The traced forward(), returning the value.
   const tsc::nn::Tensor& forward_train(tsc::nn::Workspace& ws,
                                        const tsc::nn::Tensor& input,
                                        const tsc::nn::Tensor& h,
                                        const tsc::nn::Tensor& c,
-                                       TrainActivations& acts) const {
-    return *forward(ws, input, h, c, &acts).value;
+                                       TrainActivations& acts,
+                                       tsc::util::Crew* crew = nullptr) const {
+    return *forward(ws, input, h, c, &acts, crew).value;
   }
 
   /// Analytic backward of a traced forward(): `dvalues` [B, 1] is the loss
   /// gradient w.r.t. the value; parameter gradients accumulate into `sinks`
   /// in parameters() order: [embed.w, embed.b, lstm.w_x, lstm.w_h,
   /// lstm.bias, value.w, value.b]. Bit-identical to Tape::backward over
-  /// forward()'s graph.
+  /// forward()'s graph, with or without a crew.
   void backward_train(tsc::nn::Workspace& ws, const TrainActivations& acts,
                       const tsc::nn::Tensor& dvalues,
-                      tsc::nn::Tensor* const* sinks) const;
+                      tsc::nn::Tensor* const* sinks,
+                      tsc::util::Crew* crew = nullptr) const;
 
   std::size_t input_dim() const { return input_dim_; }
   std::size_t hidden_size() const { return hidden_; }

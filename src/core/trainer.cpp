@@ -271,14 +271,22 @@ void PairUpLightTrainer::update_model(std::size_t model,
   // One backward workspace likewise (fused serial path; slots recycled
   // across minibatches, epochs, and updates).
   ctx.backward = &update_workspace_;
-  // The fused serial path runs the critic's half on a second thread when
-  // the host has one; created on the first update, so trainers that only
-  // act (deployment, evaluation) never start it.
+  // The fused serial path runs on a team of all hardware threads; created
+  // on the first update, so trainers that only act (deployment,
+  // evaluation) never start it, and parked when this update returns (or
+  // throws), so it never spins outside an update.
   if (!updater_ && config_.update_path == UpdatePath::kFused) {
-    if (!update_lane_ && std::thread::hardware_concurrency() >= 2)
-      update_lane_ = std::make_unique<UpdateLane>();
-    ctx.lane = update_lane_.get();
+    if (!update_team_)
+      update_team_ = std::make_unique<UpdateTeam>(
+          std::max(1u, std::thread::hardware_concurrency()));
+    ctx.team = update_team_.get();
   }
+  struct ParkOnExit {
+    UpdateTeam* team;
+    ~ParkOnExit() {
+      if (team != nullptr) team->threads().park();
+    }
+  } park_on_exit{ctx.team};
   ctx.optim = optims_[model].get();
   // Pack the samples' rows once; every epoch's minibatches gather from this
   // pinned block instead of re-walking the per-sample vectors.

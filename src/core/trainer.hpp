@@ -25,11 +25,15 @@
 // K > 1 shards each minibatch across K worker threads, one batched pass
 // per shard, and tracks the serial weights within a pinned tolerance
 // (tests/test_sharded_update.cpp). On the default serial fused path the
-// trainer runs each minibatch's actor and critic side by side: it creates
-// one extra thread (an UpdateLane) on its first update when
-// std::thread::hardware_concurrency() >= 2, and never otherwise, so a
-// trainer that only acts starts no thread. Both schedules are
-// bit-identical (tests/test_update_lane.cpp).
+// trainer runs each minibatch on a thread team (core::UpdateTeam) of
+// std::thread::hardware_concurrency() threads, the calling thread
+// included: an actor crew and a critic crew side by side, each splitting
+// its network's layer kernels, then Adam over the whole team. The team is
+// created on the trainer's first update, so a trainer that only acts
+// (deployment, evaluation) starts no thread, and it is parked whenever
+// update_model returns, so no thread spins during collection, evaluation
+// or control. Every team size is bit-identical to one thread
+// (tests/test_update_team.cpp).
 #pragma once
 
 #include <memory>
@@ -118,18 +122,19 @@ class PairUpLightTrainer {
   }
 
   /// Allocation events across every backward workspace of the fused update
-  /// path (the serial workspace, the update lane's, and all shard
-  /// workspaces). Like inference_workspace().alloc_events(), flat once
-  /// minibatch shapes stabilize; exactly 0 grows when update_path == kTape.
+  /// path (the serial workspace, the update team's critic workspace, and
+  /// all shard workspaces). Like inference_workspace().alloc_events(), flat
+  /// once minibatch shapes stabilize; exactly 0 grows when
+  /// update_path == kTape.
   std::size_t update_alloc_events() const {
     return update_workspace_.alloc_events() +
-           (update_lane_ ? update_lane_->workspace().alloc_events() : 0) +
+           (update_team_ ? update_team_->critic_workspace().alloc_events() : 0) +
            (updater_ ? updater_->backward_alloc_events() : 0);
   }
 
-  /// The serial fused update's second thread, or null before the first
-  /// update, on a one-thread host, and on the sharded and tape paths.
-  const UpdateLane* update_lane() const { return update_lane_.get(); }
+  /// The serial fused update's thread team, or null before the first
+  /// update and on the sharded and tape paths. Parked between updates.
+  const UpdateTeam* update_team() const { return update_team_.get(); }
 
   /// Shard count of the PPO update (config.num_update_shards; 1 on the
   /// serial path).
@@ -208,9 +213,9 @@ class PairUpLightTrainer {
   std::unique_ptr<FleetRolloutEngine> fleet_;
   /// Built only when config.num_update_shards > 1.
   std::unique_ptr<ParallelUpdateEngine> updater_;
-  /// Critic-half thread + workspace of the serial fused update; built on
+  /// Thread team + critic workspace of the serial fused update; built on
   /// the first update (see update_model).
-  std::unique_ptr<UpdateLane> update_lane_;
+  std::unique_ptr<UpdateTeam> update_team_;
 };
 
 }  // namespace tsc::core

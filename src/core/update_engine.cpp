@@ -166,7 +166,8 @@ rl::PolicyLossTerms fused_actor_half(
     nn::Workspace& ws, const CoordinatedActor& actor,
     const std::vector<const rl::Sample*>& samples, const PackedSampleBlock* block,
     const std::vector<std::size_t>& order, std::size_t begin, std::size_t rows,
-    std::size_t batch, const rl::PpoConfig& ppo, Tensor* const* sinks) {
+    std::size_t batch, const rl::PpoConfig& ppo, Tensor* const* sinks,
+    util::Crew* crew) {
   std::vector<std::size_t> actions(rows), phase_counts(rows);
   std::vector<double> old_logp(rows), advantages(rows);
   Tensor& input = ws.acquire(rows, actor.input_dim());
@@ -194,25 +195,28 @@ rl::PolicyLossTerms fused_actor_half(
     }
   }
   CoordinatedActor::TrainActivations acts;
-  const Tensor& logits = actor.forward_train(ws, input, h, c, phase_counts, acts);
+  const Tensor& logits =
+      actor.forward_train(ws, input, h, c, phase_counts, acts, crew);
   Tensor& p = ws.acquire(rows, actor.max_phases());
   Tensor& logp = ws.acquire(rows, actor.max_phases());
   Tensor& dlogits = ws.acquire(rows, actor.max_phases());
   const rl::PolicyLossTerms terms = rl::fused_policy_loss_grad(
       logits, actions, old_logp, advantages, batch, ppo, p, logp, dlogits);
-  actor.backward_train(ws, acts, dlogits, sinks);
+  actor.backward_train(ws, acts, dlogits, sinks, crew);
   return terms;
 }
 
 /// The critic's half of the same pass: its rows and returns, traced
 /// forward, value half of the loss, backward. Returns the value loss.
+/// `returns` is the caller's `rows`-long scratch, so a helper thread running
+/// this half never allocates.
 double fused_critic_half(nn::Workspace& ws, const CentralizedCritic& critic,
                          const std::vector<const rl::Sample*>& samples,
                          const PackedSampleBlock* block,
                          const std::vector<std::size_t>& order,
                          std::size_t begin, std::size_t rows, std::size_t batch,
-                         const rl::PpoConfig& ppo, Tensor* const* sinks) {
-  std::vector<double> returns(rows);
+                         const rl::PpoConfig& ppo, Tensor* const* sinks,
+                         std::vector<double>& returns, util::Crew* crew) {
   Tensor& input = ws.acquire(rows, critic.input_dim());
   Tensor& h = ws.acquire(rows, critic.hidden_size());
   Tensor& c = ws.acquire(rows, critic.hidden_size());
@@ -234,38 +238,18 @@ double fused_critic_half(nn::Workspace& ws, const CentralizedCritic& critic,
     }
   }
   CentralizedCritic::TrainActivations acts;
-  const Tensor& values = critic.forward_train(ws, input, h, c, acts);
+  const Tensor& values = critic.forward_train(ws, input, h, c, acts, crew);
   Tensor& dvalues = ws.acquire(rows, 1);
   const double value_loss =
       rl::fused_value_loss_grad(values, returns, batch, ppo, dvalues);
-  critic.backward_train(ws, acts, dvalues, sinks);
+  critic.backward_train(ws, acts, dvalues, sinks, crew);
   return value_loss;
 }
 
-/// Runs `main` on the calling thread and `side` on the lane's thread, then
-/// returns side's result; with no lane, runs main then side here. Always
-/// waits for `side` before returning or rethrowing, since side reads the
-/// caller's frame. An exception from either reaches the caller (main's
-/// first when both throw).
-template <typename Main, typename Side>
-auto run_beside(UpdateLane* lane, Main&& main, Side&& side) {
-  if (lane == nullptr) {
-    main();
-    return side();
-  }
-  auto side_done = lane->submit([&side] { return side(); });
-  try {
-    main();
-  } catch (...) {
-    side_done.wait();
-    throw;
-  }
-  return side_done.get();
-}
-
-/// The end of every minibatch update: clip, the non-finite guard, Adam.
-/// The actor's and the critic's parameter ranges step on the two threads
-/// when there is a lane (Adam is elementwise, so the split is exact).
+/// The end of every minibatch update: clip (one ordered sum on the calling
+/// thread), the non-finite guard, Adam. With a team, Adam's elements are
+/// split into balanced ranges over all its threads (Adam is elementwise,
+/// so any split is exact).
 void clip_and_step(UpdateContext& ctx, double loss, std::size_t begin,
                    std::size_t end) {
   const double norm =
@@ -273,11 +257,13 @@ void clip_and_step(UpdateContext& ctx, double loss, std::size_t begin,
   if (!std::isfinite(loss) || !std::isfinite(norm))
     throw TrainingDiverged(begin, end, loss, norm);
   nn::Adam& optim = *ctx.optim;
-  const std::size_t actor_count = ctx.actor->parameters().size();
   optim.begin_step();
-  run_beside(
-      ctx.lane, [&] { optim.apply_range(0, actor_count); },
-      [&] { optim.apply_range(actor_count, optim.num_params()); });
+  nn::run_parts(ctx.team != nullptr ? &ctx.team->threads().all() : nullptr,
+                [&optim](std::size_t part, std::size_t parts) {
+                  const nn::IndexRange elems =
+                      nn::even_range(optim.num_elements(), part, parts);
+                  optim.apply_elements(elems.begin, elems.end);
+                });
 }
 
 }  // namespace
@@ -295,6 +281,30 @@ TrainingDiverged::TrainingDiverged(std::size_t begin, std::size_t end,
 void PackedSampleBlock::build(const std::vector<const rl::Sample*>& samples,
                               std::size_t obs_dim, std::size_t critic_dim,
                               std::size_t hidden) {
+  // Every row of every field is checked before anything is resized or
+  // copied: a short or long row would otherwise overrun the block, and a
+  // throw leaves the previous block intact.
+  struct Field {
+    const char* name;
+    std::vector<double> rl::Sample::*values;
+    std::size_t width;
+  };
+  const Field fields[] = {
+      {"obs", &rl::Sample::obs, obs_dim},
+      {"critic_obs", &rl::Sample::critic_obs, critic_dim},
+      {"h_actor", &rl::Sample::h_actor, hidden},
+      {"c_actor", &rl::Sample::c_actor, hidden},
+      {"h_critic", &rl::Sample::h_critic, hidden},
+      {"c_critic", &rl::Sample::c_critic, hidden},
+  };
+  for (std::size_t r = 0; r < samples.size(); ++r)
+    for (const Field& f : fields)
+      if ((samples[r]->*f.values).size() != f.width)
+        throw std::invalid_argument(
+            std::string("PackedSampleBlock: sample ") + std::to_string(r) +
+            " has " + std::to_string((samples[r]->*f.values).size()) + " " +
+            f.name + " values, the block expects " + std::to_string(f.width));
+
   rows_ = samples.size();
   obs_dim_ = obs_dim;
   critic_dim_ = critic_dim;
@@ -312,9 +322,6 @@ void PackedSampleBlock::build(const std::vector<const rl::Sample*>& samples,
   returns_.resize(rows_);
   for (std::size_t r = 0; r < rows_; ++r) {
     const rl::Sample& s = *samples[r];
-    assert(s.obs.size() == obs_dim_);
-    assert(s.critic_obs.size() == critic_dim_);
-    assert(s.h_actor.size() == hidden_);
     std::copy(s.obs.begin(), s.obs.end(), obs_.data() + r * obs_dim_);
     std::copy(s.h_actor.begin(), s.h_actor.end(), h_a_.data() + r * hidden_);
     std::copy(s.c_actor.begin(), s.c_actor.end(), c_a_.data() + r * hidden_);
@@ -352,7 +359,7 @@ double serial_minibatch_update(UpdateContext& ctx,
     const std::size_t actor_count = actor.parameters().size();
     const double loss = fused_shard_loss_and_grads(
         *ctx.backward, actor, critic, samples, order, begin, end, batch,
-        config, ctx.block, sinks.data(), sinks.data() + actor_count, ctx.lane);
+        config, ctx.block, sinks.data(), sinks.data() + actor_count, ctx.team);
     clip_and_step(ctx, loss, begin, end);
     return loss;
   }
@@ -447,26 +454,36 @@ double fused_shard_loss_and_grads(nn::Workspace& ws,
                                   const PackedSampleBlock* block,
                                   nn::Tensor* const* actor_sinks,
                                   nn::Tensor* const* critic_sinks,
-                                  UpdateLane* lane) {
+                                  UpdateTeam* team) {
   assert(begin < end && end <= order.size());
   const std::size_t rows = end - begin;
   // Fixed acquisition sequence per pass and per workspace, so after the
   // first minibatch of a shape every slot is recycled (alloc_events()
   // flatlines).
   ws.begin_pass();
-  nn::Workspace& critic_ws = lane != nullptr ? lane->workspace() : ws;
+  std::vector<double> returns(rows);
   rl::PolicyLossTerms policy;
-  const double value_loss = run_beside(
-      lane,
-      [&] {
-        policy = fused_actor_half(ws, actor, samples, block, order, begin, rows,
-                                  batch, config.ppo, actor_sinks);
-      },
-      [&] {
-        if (lane != nullptr) critic_ws.begin_pass();
-        return fused_critic_half(critic_ws, critic, samples, block, order,
-                                 begin, rows, batch, config.ppo, critic_sinks);
-      });
+  double value_loss = 0.0;
+  if (team == nullptr) {
+    policy = fused_actor_half(ws, actor, samples, block, order, begin, rows,
+                              batch, config.ppo, actor_sinks, nullptr);
+    value_loss = fused_critic_half(ws, critic, samples, block, order, begin,
+                                   rows, batch, config.ppo, critic_sinks,
+                                   returns, nullptr);
+  } else {
+    nn::Workspace& critic_ws = team->critic_workspace();
+    team->threads().run_split(
+        [&](util::Crew& crew) {
+          policy = fused_actor_half(ws, actor, samples, block, order, begin,
+                                    rows, batch, config.ppo, actor_sinks, &crew);
+        },
+        [&](util::Crew& crew) {
+          critic_ws.begin_pass();
+          value_loss = fused_critic_half(critic_ws, critic, samples, block,
+                                         order, begin, rows, batch, config.ppo,
+                                         critic_sinks, returns, &crew);
+        });
+  }
   return rl::ppo_loss_from_terms(policy, value_loss, config.ppo);
 }
 

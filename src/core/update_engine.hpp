@@ -7,19 +7,23 @@
 // trainer) and (b) the ParallelUpdateEngine, which splits the minibatch
 // across thread-pool workers.
 //
-// Actor ∥ critic. The actor and the critic share nothing in a minibatch
+// The update team. The actor and the critic share nothing in a minibatch
 // until clip_grad_norm: each has its own inputs, forward, half of the loss
 // (rl::fused_policy_loss_grad / rl::fused_value_loss_grad), backward and
-// gradient sinks. When UpdateContext::lane is set, the serial fused update
-// runs the critic's half on the lane's thread and workspace while the
-// actor's half runs on the calling thread, joins once, combines the loss
-// scalar in the single-thread expression order, clips on the calling
-// thread (one ordered sum over actor then critic parameters), and then
-// applies Adam's actor and critic parameter ranges on the two threads.
-// With a null lane the same calls run one after the other on the calling
-// thread. Each network's kernels, operand order and gradient sinks are the
-// same either way, so the two schedules are bit-identical
-// (tests/test_update_lane.cpp).
+// gradient sinks. When UpdateContext::team is set, the serial fused update
+// splits the team (util/thread_team.hpp) into an actor crew and a critic
+// crew (2 + 2 threads on a 4-thread host, 1 + 1 on 2): the calling thread
+// leads the actor's half, a helper leads the critic's half on the team's
+// critic workspace, and each leader forks its network's layer kernels
+// across its crew (the partitions in nn/tensor.hpp and nn/backward.hpp:
+// outputs only, never a reduction). After one join the calling thread
+// combines the loss scalar in the single-thread expression order and clips
+// (one ordered sum over actor then critic parameters), then Adam runs as
+// balanced element ranges over the whole team. The team parks when the
+// trainer's update_model returns. With a null team the same calls run one
+// after the other on the calling thread. Every output element keeps its
+// kernel, operand order, chain and sink either way, so every team size is
+// bit-identical to the team-free schedule (tests/test_update_team.cpp).
 //
 // Non-finite guard. Every minibatch update checks the loss and the
 // pre-clip gradient norm before Adam runs and throws TrainingDiverged when
@@ -35,7 +39,7 @@
 // Workers share the live (frozen-by-barrier) weights read-only, and each
 // shard's gradients land in dedicated slot tensors, never in
 // Parameter::grad. Shards run their actor and critic halves one after the
-// other (no lane).
+// other (no team).
 //
 // Determinism. Every cross-row reduction in this stack folds sequentially
 // over batch rows in increasing row order (the weight-gradient matmul_tn per
@@ -74,6 +78,7 @@
 #include "src/nn/tape.hpp"
 #include "src/rl/rollout.hpp"
 #include "src/util/thread_pool.hpp"
+#include "src/util/thread_team.hpp"
 
 namespace tsc::core {
 
@@ -86,6 +91,9 @@ namespace tsc::core {
 /// to packing from the samples.
 class PackedSampleBlock {
  public:
+  /// Throws std::invalid_argument, naming the field, when any sample's
+  /// obs / critic_obs / h / c row does not have the given width; it checks
+  /// before changing anything, so the previous block stays intact.
   void build(const std::vector<const rl::Sample*>& samples,
              std::size_t obs_dim, std::size_t critic_dim, std::size_t hidden);
 
@@ -132,25 +140,23 @@ class TrainingDiverged : public std::runtime_error {
   std::size_t begin_, end_;
 };
 
-/// The serial fused update's second thread: one persistent worker that
-/// runs each minibatch's critic half and the critic's Adam range, and the
-/// workspace the critic's activations live in. The worker sleeps between
-/// submissions. Not thread-safe itself: one update drives it at a time.
-class UpdateLane {
+/// The serial fused update's thread team and the workspace the critic
+/// crew's activations live in. Built on a trainer's first update with
+/// std::thread::hardware_concurrency() threads, the calling thread included.
+/// Not thread-safe itself: one update drives it at a time.
+class UpdateTeam {
  public:
-  nn::Workspace& workspace() { return workspace_; }
-  const nn::Workspace& workspace() const { return workspace_; }
+  explicit UpdateTeam(std::size_t threads) : team_(threads) {}
 
-  /// Runs `fn` on the lane's thread; the returned future yields its result
-  /// or rethrows what it threw.
-  template <typename F>
-  auto submit(F&& fn) {
-    return pool_.submit(std::forward<F>(fn));
-  }
+  std::size_t size() const { return team_.size(); }
+  util::ThreadTeam& threads() { return team_; }
+  const util::ThreadTeam& threads() const { return team_; }
+  nn::Workspace& critic_workspace() { return critic_ws_; }
+  const nn::Workspace& critic_workspace() const { return critic_ws_; }
 
  private:
-  nn::Workspace workspace_;
-  util::ThreadPool pool_{1};  ///< declared last: joined before the workspace dies
+  nn::Workspace critic_ws_;
+  util::ThreadTeam team_;  ///< declared last: joined before the workspace dies
 };
 
 /// The mutable collaborators of one model's PPO update. All pointers are
@@ -169,21 +175,22 @@ struct UpdateContext {
   const PackedSampleBlock* block = nullptr;
   /// Workspace for the serial fused (tape-free) path; required when
   /// config->update_path == UpdatePath::kFused and num_update_shards == 1.
-  /// Holds the actor's activations, and the critic's too when `lane` is
+  /// Holds the actor's activations, and the critic's too when `team` is
   /// null.
   nn::Workspace* backward = nullptr;
-  /// Optional second thread for serial_minibatch_update: runs the critic
-  /// half and the critic's Adam range beside the actor's (see the file
+  /// Optional thread team for serial_minibatch_update's fused path: actor
+  /// and critic crews side by side, Adam over all threads (see the file
   /// comment). Null runs everything on the calling thread; the result is
-  /// bit-identical either way. The sharded engine ignores it.
-  UpdateLane* lane = nullptr;
+  /// bit-identical either way. The tape path and the sharded engine ignore
+  /// it.
+  UpdateTeam* team = nullptr;
 };
 
 /// One minibatch of the historical batched PPO update: a single batched
 /// forward/backward over samples[order[begin..end)], clip_grad_norm over
 /// ctx.params, one Adam step; the num_update_shards = 1 golden regression
-/// pins it. On the fused path the actor and critic halves run on two
-/// threads when ctx.lane is set. Returns the minibatch loss. Throws
+/// pins it. On the fused path the actor and critic halves run on the two
+/// crews of ctx.team when it is set. Returns the minibatch loss. Throws
 /// TrainingDiverged (before Adam) on a non-finite loss or gradient norm,
 /// and, on the fused path, std::invalid_argument when a row's width does
 /// not match its network; either way the weights and Adam state are left
@@ -218,7 +225,9 @@ double shard_loss_and_grads(nn::Tape& tape, CoordinatedActor& actor,
 /// module's parameters() order; matmul weight sinks must be zeroed by the
 /// caller). Loss and gradients are bit-identical to the tape functions
 /// above — every kernel replays the tape's FP accumulation order (see
-/// nn/backward.hpp; pinned by tests/test_backward_path.cpp).
+/// nn/backward.hpp; pinned by tests/test_backward_path.cpp). With a team,
+/// the actor's half runs on its first crew and the critic's half on its
+/// second crew and critic workspace (bit-identical to a null team).
 double fused_shard_loss_and_grads(nn::Workspace& ws,
                                   CoordinatedActor& actor,
                                   CentralizedCritic& critic,
@@ -229,7 +238,7 @@ double fused_shard_loss_and_grads(nn::Workspace& ws,
                                   const PackedSampleBlock* block,
                                   nn::Tensor* const* actor_sinks,
                                   nn::Tensor* const* critic_sinks,
-                                  UpdateLane* lane = nullptr);
+                                  UpdateTeam* team = nullptr);
 
 /// Shards each minibatch's forward/backward work across a reusable thread
 /// pool (contiguous sample ranges, one batched pass and one scratch tape per
@@ -243,7 +252,7 @@ class ParallelUpdateEngine {
 
   std::size_t num_shards() const { return num_shards_; }
 
-  /// Sharded equivalent of serial_minibatch_update (ctx.tape and ctx.lane
+  /// Sharded equivalent of serial_minibatch_update (ctx.tape and ctx.team
   /// are unused). Returns the sum of the per-shard scaled losses — the same
   /// quantity as the serial minibatch loss up to FP summation order. Throws
   /// TrainingDiverged like serial_minibatch_update.

@@ -40,6 +40,18 @@
 // multiplied). tests/test_backward_path.cpp pins all of this bitwise
 // against the tape and against central differences.
 //
+// Splitting across a crew (util/thread_team.hpp). The PPO update's thread
+// team partitions OUTPUTS only, so each output element keeps its chain and
+// its sink and the split is bit-identical by construction:
+//   * dX = dY·W^T by row blocks of dX (tile_rows over the batch), after
+//     W^T is staged by rows of W^T;
+//   * dW = X^T·dY by rows of dW (tile_rows over W's input dimension), never
+//     by batch rows, which would split each dW element's ascending chain;
+//   * bias gradients by columns (each column's row sum stays one chain);
+//   * the element-wise and LSTM-gate kernels by rows or element ranges.
+// The range overloads below are those pieces; the whole-tensor forms are
+// the same code over the full range.
+//
 // This translation unit builds with the same flags as nn/tensor.cpp
 // (-O3 -march=native -ffp-contract=off): vectorization without FMA
 // contraction or reassociation, so the strict IEEE per-op rounding the
@@ -66,21 +78,35 @@ using BackwardWorkspace = Workspace;
 void backward_matmul_nt_acc(Workspace& ws, Tensor& dx, const Tensor& dy,
                             const Tensor& w);
 
+/// The two halves of backward_matmul_nt_acc, for a split run: rows
+/// `rows` of wt = w^T (wt already shaped [n, k]), then rows `rows` of
+/// dx += dy @ wt.
+void transpose_rows(Tensor& wt, const Tensor& w, IndexRange rows);
+void matmul_nt_acc_rows(Tensor& dx, const Tensor& dy, const Tensor& wt,
+                        IndexRange rows);
+
 /// dw [j,n] += x [m,j]^T @ dy [m,n] — the weight-gradient half of
 /// Tape::matmul's backward (`grad += matmul_tn(A, g)`), on the tiled
 /// accumulate kernel reading x column-wise.
 void backward_matmul_tn_acc(Tensor& dw, const Tensor& x, const Tensor& dy);
+/// Rows `rows` of dw only (a range of x's columns).
+void backward_matmul_tn_acc(Tensor& dw, const Tensor& x, const Tensor& dy,
+                            IndexRange rows);
 
 /// db [n] += column sums of dy [m,n], rows ascending — Tape::add's rank-1
 /// broadcast backward (the bias gradient).
 void backward_bias_acc(Tensor& db, const Tensor& dy);
+/// Columns `cols` of db only.
+void backward_bias_acc(Tensor& db, const Tensor& dy, IndexRange cols);
 
 /// dx[i] += g[i] where y[i] > 0 (Tape::relu backward; for relu outputs,
 /// y > 0 exactly where the pre-activation input is > 0).
 void relu_backward_acc(Tensor& dx, const Tensor& g, const Tensor& y);
 
-/// dx[i] += g[i] * (1 - y[i]^2), y = tanh output (Tape::tanh backward).
-void tanh_backward_acc(Tensor& dx, const Tensor& g, const Tensor& y);
+/// dx[i] += g[i] * (1 - y[i]^2), y = tanh output (Tape::tanh backward);
+/// a crew splits it by row blocks.
+void tanh_backward_acc(Tensor& dx, const Tensor& g, const Tensor& y,
+                       util::Crew* crew = nullptr);
 
 /// dx[i] += (g[i] * y[i]) * (1 - y[i]), y = sigmoid output (Tape::sigmoid
 /// backward). Also the analytic backward of the message-squash logistic
@@ -107,5 +133,9 @@ void log_softmax_backward_acc(Tensor& dx, const Tensor& g, const Tensor& y);
 void lstm_backward_gates(Tensor& dgates, const Tensor& dh, const Tensor& gates,
                          const Tensor& tanh_c, const Tensor& c_in,
                          std::size_t hidden);
+/// Rows `rows` only (dgates already shaped [B, 4H]).
+void lstm_backward_gates(Tensor& dgates, const Tensor& dh, const Tensor& gates,
+                         const Tensor& tanh_c, const Tensor& c_in,
+                         std::size_t hidden, IndexRange rows);
 
 }  // namespace tsc::nn

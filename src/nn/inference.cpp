@@ -135,8 +135,13 @@ void tanh_inplace(Tensor& t) {
   for (std::size_t i = 0; i < n; ++i) p[i] = std::tanh(p[i]);
 }
 
-void tanh_inplace(Tensor& t, KernelTier tier) {
-  tanh_inplace_tier(t.data(), t.size(), tier);
+void tanh_inplace(Tensor& t, KernelTier tier, util::Crew* crew) {
+  const std::size_t cols = t.cols();
+  run_parts(crew, [&](std::size_t part, std::size_t parts) {
+    const IndexRange rows = tile_rows(t.rows(), part, parts);
+    tanh_inplace_tier(t.data() + rows.begin * cols,
+                      (rows.end - rows.begin) * cols, tier);
+  });
 }
 
 std::size_t argmax_row(const Tensor& t, std::size_t r, std::size_t limit) {

@@ -33,6 +33,14 @@
 // (every core::FleetRolloutEngine and every update shard owns one). Buffers
 // returned by acquire() are only valid until the next begin_pass(), so
 // persistent state (LSTM h/c) must be copied out before the next pass.
+//
+// Crews. Every forward and backward_train takes an optional trailing
+// util::Crew (util/thread_team.hpp). Without one it runs on the calling
+// thread; with one, the calling thread must be the crew's leader: it
+// acquires every slot, then forks each kernel's outputs across the crew
+// (run_parts; the partitions are in nn/tensor.hpp and nn/backward.hpp).
+// Only the partition of the outputs changes, never a chain, so the result
+// is bit-identical at every crew size.
 #pragma once
 
 #include <cstddef>
@@ -41,6 +49,7 @@
 
 #include "src/nn/kernels.hpp"
 #include "src/nn/tensor.hpp"
+#include "src/util/thread_team.hpp"
 
 namespace tsc::nn {
 
@@ -84,6 +93,19 @@ class Workspace {
   KernelTier kernel_tier_ = KernelTier::kReference;
 };
 
+/// Runs fn(part, parts) once per member of `crew`, each on its own thread,
+/// and returns when all are done; without a crew (or with a one-thread
+/// crew), fn(0, 1) on the calling thread.
+template <typename F>
+void run_parts(util::Crew* crew, F&& fn) {
+  if (crew == nullptr || crew->size() <= 1) {
+    fn(std::size_t{0}, std::size_t{1});
+    return;
+  }
+  const std::size_t parts = crew->size();
+  crew->run([&fn, parts](std::size_t part) { fn(part, parts); });
+}
+
 // ---- tape-free kernels (loops mirror the Tape ops bit-for-bit) ----
 
 /// out = row-wise softmax of `in` (same loops as Tape::softmax_rows).
@@ -105,8 +127,9 @@ void log_softmax_rows_into(Tensor& out, const Tensor& in, KernelTier tier);
 /// In-place ReLU / tanh (same element order as Tape::relu / Tape::tanh).
 void relu_inplace(Tensor& t);
 void tanh_inplace(Tensor& t);
-/// Tier-dispatched tanh (kReference == tanh_inplace above, bit for bit).
-void tanh_inplace(Tensor& t, KernelTier tier);
+/// Tier-dispatched tanh (kReference == tanh_inplace above, bit for bit); a
+/// crew splits it by row blocks.
+void tanh_inplace(Tensor& t, KernelTier tier, util::Crew* crew = nullptr);
 
 /// argmax over columns [0, limit) of row `r` (first max wins, matching the
 /// strict `>` comparison the rollout/baseline action loops use).

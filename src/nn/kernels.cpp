@@ -148,16 +148,28 @@ double logistic(double x, KernelTier tier) {
 void matmul_into_fast(Tensor& out, const Tensor& a, const Tensor& b) {
   assert(a.rank() == 2 && b.rank() == 2);
   assert(a.shape()[1] == b.shape()[0]);
+  out.reshape(a.shape()[0], b.shape()[1]);
+  matmul_into_fast(out, a, b, 0, a.shape()[0]);
+}
+
+void matmul_into_fast(Tensor& out, const Tensor& a, const Tensor& b,
+                      std::size_t row_begin, std::size_t row_end) {
+  assert(a.rank() == 2 && b.rank() == 2);
+  assert(a.shape()[1] == b.shape()[0]);
   assert(&out != &a && &out != &b);
-  const std::size_t m = a.shape()[0], k = a.shape()[1], n = b.shape()[1];
-  out.reshape(m, n);
+  const std::size_t k = a.shape()[1], n = b.shape()[1];
+  assert(out.rows() == a.shape()[0] && out.cols() == n);
+  assert(row_begin <= row_end && row_end <= a.shape()[0]);
+  double* po = out.data() + row_begin * n;
+  const double* pa = a.data() + row_begin * k;
+  const std::size_t m = row_end - row_begin;
 #if defined(TSC_FAST_TIER_SIMD)
   if (fast_tier_simd_active()) {
-    simd_detail::gemm_fma(out.data(), a.data(), b.data(), m, k, n);
+    simd_detail::gemm_fma(po, pa, b.data(), m, k, n);
     return;
   }
 #endif
-  fast_detail::gemm_fma_rows(out.data(), a.data(), b.data(), m, k, n);
+  fast_detail::gemm_fma_rows(po, pa, b.data(), m, k, n);
 }
 
 }  // namespace tsc::nn

@@ -92,5 +92,9 @@ double logistic(double x, KernelTier tier);
 // SIMD agree bitwise). Fast-tier sibling of tensor.cpp's
 // matmul_into_batched; requires out/a/b preshaped, out disjoint from a/b.
 void matmul_into_fast(Tensor& out, const Tensor& a, const Tensor& b);
+/// Rows [row_begin, row_end) of matmul_into_fast, into an `out` already
+/// shaped [m,n] (per-element chains, so any row split is bit-identical).
+void matmul_into_fast(Tensor& out, const Tensor& a, const Tensor& b,
+                      std::size_t row_begin, std::size_t row_end);
 
 }  // namespace tsc::nn

@@ -29,37 +29,49 @@ Var Linear::forward(Tape& tape, Var x) {
   return tape.add(tape.matmul(x, w), b);
 }
 
-const Tensor& Linear::forward(Workspace& ws, const Tensor& x) const {
+const Tensor& Linear::forward(Workspace& ws, const Tensor& x,
+                              util::Crew* crew) const {
   assert(x.cols() == in_);
   Tensor& out = ws.acquire(x.rows(), out_);
-  // Reference tier: the row-blocked kernel, bit-identical to the tape's
-  // matmul (nn/tensor.hpp; below 8 rows it is the same loop). Fast tier:
-  // the FMA kernel.
-  if (ws.kernel_tier() == KernelTier::kFast) {
-    matmul_into_fast(out, x, weight.value);
-  } else {
-    matmul_into_batched(out, x, weight.value);
-  }
-  // Broadcast bias add: same adds in the same order as Tape::add's rank-1
-  // branch, on raw rows (this loop runs once per fleet GEMM over every
-  // batch element and must not pay per-element accessor calls).
+  const bool fast = ws.kernel_tier() == KernelTier::kFast;
   const double* pb = bias.value.data();
-  const std::size_t rows = out.rows();
-  double* po = out.data();
-  for (std::size_t r = 0; r < rows; ++r, po += out_)
-    for (std::size_t c = 0; c < out_; ++c) po[c] += pb[c];
+  run_parts(crew, [&](std::size_t part, std::size_t parts) {
+    const IndexRange rows = tile_rows(x.rows(), part, parts);
+    // Reference tier: the row-blocked kernel, bit-identical to the tape's
+    // matmul (nn/tensor.hpp; below 8 rows it is the same loop). Fast tier:
+    // the FMA kernel.
+    if (fast) {
+      matmul_into_fast(out, x, weight.value, rows.begin, rows.end);
+    } else {
+      matmul_into_batched(out, x, weight.value, rows);
+    }
+    // Broadcast bias add: same adds in the same order as Tape::add's
+    // rank-1 branch, on raw rows (this loop runs once per fleet GEMM over
+    // every batch element and must not pay per-element accessor calls).
+    double* po = out.data() + rows.begin * out_;
+    for (std::size_t r = rows.begin; r < rows.end; ++r, po += out_)
+      for (std::size_t c = 0; c < out_; ++c) po[c] += pb[c];
+  });
   return out;
 }
 
 void Linear::backward_train(Workspace& ws, const Tensor& x,
                             const Tensor& dy, Tensor& dw_sink, Tensor& db_sink,
-                            Tensor* dx) const {
+                            Tensor* dx, util::Crew* crew) const {
   assert(x.cols() == in_ && dy.cols() == out_ && x.rows() == dy.rows());
-  // Tape order: the add node's backward (bias row sums) runs before the
-  // matmul node's — the sinks are disjoint, but keep the order anyway.
-  backward_bias_acc(db_sink, dy);
-  if (dx != nullptr) backward_matmul_nt_acc(ws, *dx, dy, weight.value);
-  backward_matmul_tn_acc(dw_sink, x, dy);
+  // The tape runs the add node's backward (bias row sums) before the matmul
+  // node's; the sinks are disjoint and each element is one chain, so the
+  // phases below may interleave them freely.
+  Tensor* wt = dx != nullptr ? &ws.acquire(out_, in_) : nullptr;
+  run_parts(crew, [&](std::size_t part, std::size_t parts) {
+    backward_bias_acc(db_sink, dy, even_range(out_, part, parts));
+    if (wt != nullptr) transpose_rows(*wt, weight.value, even_range(out_, part, parts));
+    backward_matmul_tn_acc(dw_sink, x, dy, tile_rows(in_, part, parts));
+  });
+  if (dx == nullptr) return;
+  run_parts(crew, [&](std::size_t part, std::size_t parts) {
+    matmul_nt_acc_rows(*dx, dy, *wt, tile_rows(dy.rows(), part, parts));
+  });
 }
 
 Mlp::Mlp(const std::vector<std::size_t>& dims, Rng& rng, Activation hidden_act,
@@ -180,7 +192,8 @@ LstmCell::State LstmCell::forward(Tape& tape, Var x, Var h, Var c) {
 }
 
 LstmCell::Result LstmCell::forward(Workspace& ws, const Tensor& x,
-                                   const Tensor& h, const Tensor& c) const {
+                                   const Tensor& h, const Tensor& c,
+                                   util::Crew* crew) const {
   assert(x.cols() == in_);
   assert(h.cols() == hidden_ && c.cols() == hidden_);
   const std::size_t batch = x.rows();
@@ -188,27 +201,31 @@ LstmCell::Result LstmCell::forward(Workspace& ws, const Tensor& x,
   const KernelTier tier = ws.kernel_tier();
   Tensor& m1 = ws.acquire(batch, gate_cols);
   Tensor& m2 = ws.acquire(batch, gate_cols);
-  if (tier == KernelTier::kFast) {
-    matmul_into_fast(m1, x, w_x.value);
-    matmul_into_fast(m2, h, w_h.value);
-  } else {
-    matmul_into_batched(m1, x, w_x.value);
-    matmul_into_batched(m2, h, w_h.value);
-  }
   // gates = (x@w_x + h@w_h) + bias as two separately rounded adds, exactly
   // the tape's add(add(matmul, matmul), bias) chain.
   Tensor& gates = m1;
   const double* pb = bias.value.data();
-  for (std::size_t r = 0; r < batch; ++r) {
-    double* grow = gates.data() + r * gate_cols;
-    const double* m2row = m2.data() + r * gate_cols;
-    for (std::size_t j = 0; j < gate_cols; ++j) {
-      const double s = grow[j] + m2row[j];
-      grow[j] = s + pb[j];
+  run_parts(crew, [&](std::size_t part, std::size_t parts) {
+    const IndexRange rows = tile_rows(batch, part, parts);
+    if (tier == KernelTier::kFast) {
+      matmul_into_fast(m1, x, w_x.value, rows.begin, rows.end);
+      matmul_into_fast(m2, h, w_h.value, rows.begin, rows.end);
+    } else {
+      matmul_into_batched(m1, x, w_x.value, rows);
+      matmul_into_batched(m2, h, w_h.value, rows);
     }
-  }
-  // m2 is dead after the gate sum; its storage becomes tanh(c_new). The
-  // shrink keeps the capacity, so the next pass regrows it for free.
+    for (std::size_t r = rows.begin; r < rows.end; ++r) {
+      double* grow = gates.data() + r * gate_cols;
+      const double* m2row = m2.data() + r * gate_cols;
+      for (std::size_t j = 0; j < gate_cols; ++j) {
+        const double s = grow[j] + m2row[j];
+        grow[j] = s + pb[j];
+      }
+    }
+  });
+  // m2 is dead after the gate sum (every row of it, hence the phase
+  // boundary above); its storage becomes tanh(c_new). The shrink keeps the
+  // capacity, so the next pass regrows it for free.
   Tensor& tanh_c = m2;
   tanh_c.reshape(batch, hidden_);
   Tensor& h_new = ws.acquire(batch, hidden_);
@@ -221,26 +238,29 @@ LstmCell::Result LstmCell::forward(Workspace& ws, const Tensor& x,
   // span kernels are the tape's `1/(1+exp(-x))` and std::tanh loops; at the
   // fast tier they vectorize. The c_new arithmetic (f*c + i*g, separately
   // rounded) is the same on both tiers.
-  for (std::size_t r = 0; r < batch; ++r) {
-    double* grow = gates.data() + r * gate_cols;
-    const double* crow = c.data() + r * hidden_;
-    double* hrow = h_new.data() + r * hidden_;
-    double* crow_new = c_new.data() + r * hidden_;
-    double* tcrow = tanh_c.data() + r * hidden_;
-    sigmoid_inplace_tier(grow, 2 * hidden_, tier);
-    tanh_inplace_tier(grow + 2 * hidden_, hidden_, tier);
-    sigmoid_inplace_tier(grow + 3 * hidden_, hidden_, tier);
-    for (std::size_t j = 0; j < hidden_; ++j) {
-      const double fc = grow[hidden_ + j] * crow[j];
-      const double ig = grow[j] * grow[2 * hidden_ + j];
-      const double cn = fc + ig;
-      crow_new[j] = cn;
-      tcrow[j] = cn;
+  run_parts(crew, [&](std::size_t part, std::size_t parts) {
+    const IndexRange rows = tile_rows(batch, part, parts);
+    for (std::size_t r = rows.begin; r < rows.end; ++r) {
+      double* grow = gates.data() + r * gate_cols;
+      const double* crow = c.data() + r * hidden_;
+      double* hrow = h_new.data() + r * hidden_;
+      double* crow_new = c_new.data() + r * hidden_;
+      double* tcrow = tanh_c.data() + r * hidden_;
+      sigmoid_inplace_tier(grow, 2 * hidden_, tier);
+      tanh_inplace_tier(grow + 2 * hidden_, hidden_, tier);
+      sigmoid_inplace_tier(grow + 3 * hidden_, hidden_, tier);
+      for (std::size_t j = 0; j < hidden_; ++j) {
+        const double fc = grow[hidden_ + j] * crow[j];
+        const double ig = grow[j] * grow[2 * hidden_ + j];
+        const double cn = fc + ig;
+        crow_new[j] = cn;
+        tcrow[j] = cn;
+      }
+      tanh_inplace_tier(tcrow, hidden_, tier);
+      const double* orow = grow + 3 * hidden_;
+      for (std::size_t j = 0; j < hidden_; ++j) hrow[j] = orow[j] * tcrow[j];
     }
-    tanh_inplace_tier(tcrow, hidden_, tier);
-    const double* orow = grow + 3 * hidden_;
-    for (std::size_t j = 0; j < hidden_; ++j) hrow[j] = orow[j] * tcrow[j];
-  }
+  });
   return {&h_new, &c_new, &gates, &tanh_c};
 }
 
@@ -248,19 +268,31 @@ void LstmCell::backward_train(Workspace& ws, const Tensor& x,
                               const Tensor& h, const Tensor& c,
                               const Result& st, const Tensor& dh,
                               Tensor& dwx_sink, Tensor& dwh_sink,
-                              Tensor& dbias_sink, Tensor* dx) const {
+                              Tensor& dbias_sink, Tensor* dx,
+                              util::Crew* crew) const {
   const std::size_t batch = dh.rows();
+  const std::size_t gate_cols = 4 * hidden_;
   assert(dh.cols() == hidden_);
-  Tensor& dgates = ws.acquire(batch, 4 * hidden_);  // every element assigned
-  lstm_backward_gates(dgates, dh, *st.gates, *st.tanh_c, c, hidden_);
+  Tensor& dgates = ws.acquire(batch, gate_cols);  // every element assigned
+  Tensor* wt = dx != nullptr ? &ws.acquire(gate_cols, in_) : nullptr;
+  run_parts(crew, [&](std::size_t part, std::size_t parts) {
+    lstm_backward_gates(dgates, dh, *st.gates, *st.tanh_c, c, hidden_,
+                        tile_rows(batch, part, parts));
+    if (wt != nullptr)
+      transpose_rows(*wt, w_x.value, even_range(gate_cols, part, parts));
+  });
   // Tape descent through gates = add(add(x@w_x, h@w_h), bias): bias row
   // sums, then the h-side matmul (created later, so its backward runs
-  // first), then the x-side. The h/c input gradients the tape computes into
-  // discarded constants are skipped.
-  backward_bias_acc(dbias_sink, dgates);
-  backward_matmul_tn_acc(dwh_sink, h, dgates);
-  if (dx != nullptr) backward_matmul_nt_acc(ws, *dx, dgates, w_x.value);
-  backward_matmul_tn_acc(dwx_sink, x, dgates);
+  // first), then the x-side. The sinks are disjoint, so one phase computes
+  // them all. The h/c input gradients the tape computes into discarded
+  // constants are skipped.
+  run_parts(crew, [&](std::size_t part, std::size_t parts) {
+    backward_bias_acc(dbias_sink, dgates, even_range(gate_cols, part, parts));
+    backward_matmul_tn_acc(dwh_sink, h, dgates, tile_rows(hidden_, part, parts));
+    if (dx != nullptr)
+      matmul_nt_acc_rows(*dx, dgates, *wt, tile_rows(batch, part, parts));
+    backward_matmul_tn_acc(dwx_sink, x, dgates, tile_rows(in_, part, parts));
+  });
 }
 
 LstmCell::State LstmCell::zero_state(Tape& tape, std::size_t batch) const {

@@ -9,6 +9,10 @@
 #include "src/nn/module.hpp"
 #include "src/nn/tape.hpp"
 
+namespace tsc::util {
+class Crew;
+}
+
 namespace tsc::nn {
 
 class Workspace;
@@ -25,16 +29,21 @@ class Linear : public Module {
   /// Workspace forward into a fresh slot; at the reference tier
   /// bit-identical to the tape forward (same GEMM chains, same broadcast
   /// bias-add loop). The returned reference is valid until the workspace's
-  /// next begin_pass().
-  const Tensor& forward(Workspace& ws, const Tensor& x) const;
+  /// next begin_pass(). A crew splits the GEMM and the bias add by row
+  /// blocks (one phase; see nn/inference.hpp).
+  const Tensor& forward(Workspace& ws, const Tensor& x,
+                        util::Crew* crew = nullptr) const;
 
   /// Analytic backward of forward(): given the forward input `x` and the
   /// output gradient `dy`, accumulates db += column sums of dy and
   /// dW += x^T @ dy into the sinks, and, when dx != nullptr,
   /// dx += dy @ W^T (W^T is staged in a slot of `ws`). Bit-identical to the
-  /// tape's add/matmul backward closures (see backward.hpp).
+  /// tape's add/matmul backward closures (see backward.hpp). A crew splits
+  /// db by columns, W^T and dW by their rows, then dx by row blocks (two
+  /// phases; one without dx).
   void backward_train(Workspace& ws, const Tensor& x, const Tensor& dy,
-                      Tensor& dw_sink, Tensor& db_sink, Tensor* dx) const;
+                      Tensor& dw_sink, Tensor& db_sink, Tensor* dx,
+                      util::Crew* crew = nullptr) const;
 
   std::size_t in_features() const { return in_; }
   std::size_t out_features() const { return out_; }
@@ -134,20 +143,25 @@ class LstmCell : public Module {
   /// are the tape's sigmoid/tanh expressions, and the c/h updates use the
   /// same mul-mul-add order. The gates and tanh(c_new) are what
   /// backward_train() reads. `x`, `h`, `c` must not alias buffers acquired
-  /// by this call (pass prior-pass state copies).
+  /// by this call (pass prior-pass state copies). A crew splits both phases
+  /// (GEMMs + gate sum, then the gate nonlinearities and the c/h update) by
+  /// row blocks: the cell is one step over given h/c, so rows are
+  /// independent.
   Result forward(Workspace& ws, const Tensor& x, const Tensor& h,
-                 const Tensor& c) const;
+                 const Tensor& c, util::Crew* crew = nullptr) const;
 
   /// Analytic backward for graphs where downstream consumes only h_new
   /// (the external c_new gradient is exactly zero). `dh` is the incoming
   /// h_new gradient; parameter gradients accumulate into the sinks; when
   /// dx != nullptr, dx += gradient w.r.t. x.
   /// Gradients w.r.t. h/c (constant inputs in the training graphs) are not
-  /// produced. Bit-identical to the tape's backward.
+  /// produced. Bit-identical to the tape's backward. A crew splits the gate
+  /// backward (and the W_x^T staging), then the bias columns, the rows of
+  /// dW_h and dW_x, and the row blocks of dx.
   void backward_train(Workspace& ws, const Tensor& x, const Tensor& h,
                       const Tensor& c, const Result& st, const Tensor& dh,
                       Tensor& dwx_sink, Tensor& dwh_sink, Tensor& dbias_sink,
-                      Tensor* dx) const;
+                      Tensor* dx, util::Crew* crew = nullptr) const;
 
   /// Convenience: zero initial state as tape constants.
   State zero_state(Tape& tape, std::size_t batch) const;

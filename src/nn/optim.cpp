@@ -1,5 +1,6 @@
 #include "src/nn/optim.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -41,17 +42,20 @@ Adam::Adam(std::vector<Parameter*> params, Config config)
     : params_(std::move(params)), config_(config) {
   m_.reserve(params_.size());
   v_.reserve(params_.size());
+  offsets_.assign(1, 0);
   for (const Parameter* p : params_) {
     m_.push_back(Tensor::zeros_like(p->value));
     v_.push_back(Tensor::zeros_like(p->value));
+    offsets_.push_back(offsets_.back() + p->value.size());
   }
 }
 
-void Adam::apply_param(std::size_t k, const Tensor& grad, double bc1, double bc2) {
+void Adam::apply_param(std::size_t k, const Tensor& grad, double bc1, double bc2,
+                       std::size_t lo, std::size_t hi) {
   Parameter& p = *params_[k];
   Tensor& m = m_[k];
   Tensor& v = v_[k];
-  for (std::size_t i = 0; i < p.value.size(); ++i) {
+  for (std::size_t i = lo; i < hi; ++i) {
     const double g = grad[i];
     m[i] = config_.beta1 * m[i] + (1.0 - config_.beta1) * g;
     v[i] = config_.beta2 * v[i] + (1.0 - config_.beta2) * g * g;
@@ -65,7 +69,7 @@ void Adam::apply_param(std::size_t k, const Tensor& grad, double bc1, double bc2
 
 void Adam::step() {
   begin_step();
-  apply_range(0, params_.size());
+  apply_elements(0, num_elements());
 }
 
 void Adam::begin_step() {
@@ -74,10 +78,15 @@ void Adam::begin_step() {
   bc2_ = 1.0 - std::pow(config_.beta2, static_cast<double>(t_));
 }
 
-void Adam::apply_range(std::size_t lo, std::size_t hi) {
-  assert(lo <= hi && hi <= params_.size());
-  for (std::size_t k = lo; k < hi; ++k)
-    apply_param(k, params_[k]->grad, bc1_, bc2_);
+void Adam::apply_elements(std::size_t lo, std::size_t hi) {
+  assert(lo <= hi && hi <= num_elements());
+  for (std::size_t k = 0; k < params_.size() && offsets_[k] < hi; ++k) {
+    const std::size_t begin = std::max(lo, offsets_[k]);
+    const std::size_t end = std::min(hi, offsets_[k + 1]);
+    if (begin < end)
+      apply_param(k, params_[k]->grad, bc1_, bc2_, begin - offsets_[k],
+                  end - offsets_[k]);
+  }
 }
 
 void Adam::step_with_grads(const std::vector<Tensor>& grads) {
@@ -89,7 +98,7 @@ void Adam::step_with_grads(const std::vector<Tensor>& grads) {
                                   params_[k]->name);
   begin_step();
   for (std::size_t k = 0; k < params_.size(); ++k)
-    apply_param(k, grads[k], bc1_, bc2_);
+    apply_param(k, grads[k], bc1_, bc2_, 0, grads[k].size());
 }
 
 void Adam::restore_state(std::vector<Tensor> m, std::vector<Tensor> v,

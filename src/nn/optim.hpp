@@ -45,18 +45,20 @@ class Adam {
   explicit Adam(std::vector<Parameter*> params) : Adam(std::move(params), Config{}) {}
 
   /// Applies one update from the parameters' current gradients:
-  /// begin_step() then apply_range(0, num_params()).
+  /// begin_step() then apply_elements(0, num_elements()).
   void step();
 
-  /// step() in two parts, so disjoint parameter ranges can be applied on
+  /// step() in two parts, so disjoint element ranges can be applied on
   /// different threads. begin_step() advances the step count and fixes its
-  /// bias corrections; apply_range(lo, hi) then updates parameters
-  /// [lo, hi) from their grad tensors. Adam is elementwise per parameter,
-  /// so any partition of [0, num_params()) applied after one begin_step()
-  /// is bit-identical to step(). Ranges applied concurrently must not
-  /// overlap.
+  /// bias corrections; apply_elements(lo, hi) then updates elements
+  /// [lo, hi) of the parameters laid end to end in parameter order, from
+  /// their grad tensors. Adam is elementwise, so any partition of
+  /// [0, num_elements()) applied after one begin_step() is bit-identical to
+  /// step(). Ranges applied concurrently must not overlap.
   void begin_step();
-  void apply_range(std::size_t lo, std::size_t hi);
+  void apply_elements(std::size_t lo, std::size_t hi);
+  /// Total elements over all parameters.
+  std::size_t num_elements() const { return offsets_.back(); }
 
   /// Applies one update reading gradients positionally from `grads` instead
   /// of the parameters' own grad tensors; the parameters' grad tensors are
@@ -81,12 +83,16 @@ class Adam {
                      std::size_t t);
 
  private:
-  void apply_param(std::size_t k, const Tensor& grad, double bc1, double bc2);
+  /// Elements [lo, hi) of parameter k.
+  void apply_param(std::size_t k, const Tensor& grad, double bc1, double bc2,
+                   std::size_t lo, std::size_t hi);
 
   std::vector<Parameter*> params_;
   Config config_;
   std::vector<Tensor> m_;
   std::vector<Tensor> v_;
+  /// offsets_[k]: first element of parameter k; offsets_.back(): total.
+  std::vector<std::size_t> offsets_;
   std::size_t t_ = 0;
   double bc1_ = 1.0, bc2_ = 1.0;  ///< bias corrections of step t_
 };

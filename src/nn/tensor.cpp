@@ -316,18 +316,39 @@ void matmul_rows_into(double* out, const double* a, const double* b,
 }
 
 void matmul_into_batched(Tensor& out, const Tensor& a, const Tensor& b) {
+  out.reshape(a.rows(), b.cols());
+  matmul_into_batched(out, a, b, {0, a.rows()});
+}
+
+void matmul_into_batched(Tensor& out, const Tensor& a, const Tensor& b,
+                         IndexRange rows) {
   assert(a.rank() == 2 && b.rank() == 2);
   assert(&out != &a && &out != &b);
-  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-  assert(b.rows() == k);
-  out.reshape(m, n);
-  tiled<Epilogue::kStore>({out.data(), a.data(), k, 1, b.data(), k, n}, m);
+  const std::size_t k = a.cols(), n = b.cols();
+  assert(b.rows() == k && out.rows() == a.rows() && out.cols() == n);
+  assert(rows.begin <= rows.end && rows.end <= a.rows());
+  tiled<Epilogue::kStore>({out.data() + rows.begin * n,
+                           a.data() + rows.begin * k, k, 1, b.data(), k, n},
+                          rows.end - rows.begin);
 }
 
 void matmul_acc_strided(double* out, const double* a, std::size_t a_row,
                         std::size_t a_col, const double* b, std::size_t m,
                         std::size_t k, std::size_t n) {
   tiled<Epilogue::kAdd>({out, a, a_row, a_col, b, k, n}, m);
+}
+
+IndexRange tile_rows(std::size_t m, std::size_t part, std::size_t parts) {
+  constexpr std::size_t kSplitRows = 8;
+  static_assert(kSplitRows % kTileRows == 0);
+  const std::size_t blocks = (m + kSplitRows - 1) / kSplitRows;
+  const std::size_t lo = blocks * part / parts;
+  const std::size_t hi = blocks * (part + 1) / parts;
+  return {std::min(m, lo * kSplitRows), std::min(m, hi * kSplitRows)};
+}
+
+IndexRange even_range(std::size_t n, std::size_t part, std::size_t parts) {
+  return {n * part / parts, n * (part + 1) / parts};
 }
 
 Tensor matmul_nt(const Tensor& a, const Tensor& b) {

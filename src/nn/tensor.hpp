@@ -1,5 +1,14 @@
 // Dense row-major tensor of doubles. Supports rank 1 and rank 2 (the only
 // shapes the RL stack needs); rank-2 tensors are [rows, cols].
+//
+// Splitting a GEMM across threads. Every product kernel below computes each
+// output element as one ascending-k chain, so any partition of the OUTPUT
+// is bit-identical to the whole call: the PPO update's thread team runs the
+// forward GEMMs and dX = dY·W^T by row blocks of the output, and
+// dW = X^T·dY by rows of dW (matmul_acc_strided on offset pointers), never
+// by batch rows (that would split dW's chains). tile_rows() cuts the row
+// blocks on 8-row boundaries, so every row also lands in the same register
+// tile or ragged-tail block as in the unsplit call.
 #pragma once
 
 #include <cassert>
@@ -87,6 +96,22 @@ class Tensor {
   std::vector<double> data_;
 };
 
+/// A half-open index range [begin, end).
+struct IndexRange {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+/// The rows of an m-row product that part `part` of `parts` computes:
+/// contiguous runs of whole 8-row blocks (the AVX-512 tile height, a
+/// multiple of the portable tile's), balanced to within one block, with the
+/// ragged tail in the last part that has rows. Parts past the blocks are
+/// empty.
+IndexRange tile_rows(std::size_t m, std::size_t part, std::size_t parts);
+
+/// Balanced contiguous ranges of n items (element-wise work, bias columns).
+IndexRange even_range(std::size_t n, std::size_t part, std::size_t parts);
+
 /// out = a @ b for rank-2 a [m,k] and b [k,n]. Asserts on shape mismatch.
 Tensor matmul(const Tensor& a, const Tensor& b);
 /// matmul into a preallocated output (reshaped to [m,n]; must not alias a
@@ -105,13 +130,19 @@ void matmul_into(Tensor& out, const Tensor& a, const Tensor& b);
 /// contraction on either kernel). See the implementation for the zero-skip
 /// equivalence argument.
 void matmul_into_batched(Tensor& out, const Tensor& a, const Tensor& b);
+/// Rows [rows.begin, rows.end) of matmul_into_batched, into an `out`
+/// already shaped [m,n]; with tile_rows() ranges, bit-identical to the
+/// whole call row for row.
+void matmul_into_batched(Tensor& out, const Tensor& a, const Tensor& b,
+                         IndexRange rows);
 /// out [m,n] += A [m,k] @ b [k,n] on matmul_into_batched's tiles, with the
 /// add epilogue: each out[i][j] gets one ascending-p chain started from
 /// +0.0, added once — the value `out += matmul(A, b)` would add. A is read
 /// through strides, A(i,p) = a[i * a_row + p * a_col]: (k, 1) for a
 /// row-major A, (1, m) for the transpose of a row-major [k,m] matrix. b and
 /// out are row-major; out must not overlap a or b. The backward kernels in
-/// nn/backward.hpp run both of their GEMMs through it.
+/// nn/backward.hpp run both of their GEMMs through it; rows [i0, i1) of the
+/// product are the call at m = i1 - i0 on out + i0*n and a + i0*a_row.
 void matmul_acc_strided(double* out, const double* a, std::size_t a_row,
                         std::size_t a_col, const double* b, std::size_t m,
                         std::size_t k, std::size_t n);

@@ -523,22 +523,19 @@ TEST(BackwardPathAlloc, SerialSteadyStateAllocEventsAreZero) {
   trainer.train_episode();
   const std::size_t warm = trainer.update_alloc_events();
   EXPECT_GT(warm, 0u);  // the first update does allocate the slots
-  // With a second thread the critic's activations live in the update
-  // lane's workspace, which update_alloc_events() counts too.
-  const core::UpdateLane* lane = trainer.update_lane();
-  const std::size_t lane_warm = lane ? lane->workspace().alloc_events() : 0;
-  if (lane) {
-    EXPECT_GT(lane_warm, 0u);
-    EXPECT_GT(warm, lane_warm);  // the actor's workspace allocated as well
-  }
+  // The critic's activations live in the update team's critic workspace,
+  // which update_alloc_events() counts too.
+  const core::UpdateTeam* team = trainer.update_team();
+  ASSERT_NE(team, nullptr);
+  const std::size_t critic_warm = team->critic_workspace().alloc_events();
+  EXPECT_GT(critic_warm, 0u);
+  EXPECT_GT(warm, critic_warm);  // the actor's workspace allocated as well
   trainer.train_episode();
   trainer.train_episode();
   EXPECT_EQ(trainer.update_alloc_events(), warm)
       << "fused update allocated in steady state";
-  if (lane) {
-    EXPECT_EQ(lane->workspace().alloc_events(), lane_warm)
-        << "the update lane's workspace allocated in steady state";
-  }
+  EXPECT_EQ(team->critic_workspace().alloc_events(), critic_warm)
+      << "the update team's critic workspace allocated in steady state";
 }
 
 TEST(BackwardPathAlloc, ShardedSteadyStateAllocEventsAreZero) {

@@ -15,10 +15,12 @@
 #   ThreadPool / MergeRollouts / ParallelRollout / TscEnvClone   (rollouts)
 #   ParallelUpdate / ShardedUpdate / OptimizerCheckpoint / TrainerResume
 #                          (updates: sharded minibatches on the thread pool)
-#   UpdateLane / TrainingDiverged
-#                          (the default update's second thread: critic half
-#                           and critic Adam range beside the actor's, its
-#                           exception hand-off, and the non-finite guard)
+#   ThreadTeam / UpdateTeam / SplitKernels / TrainingDiverged /
+#   PackedSampleBlock      (the default update's thread team: spin-then-futex
+#                           mailboxes and joins, parking, exception hand-off;
+#                           actor and critic crews splitting every layer by
+#                           rows and output tiles at team sizes 1-4; the
+#                           non-finite guard; packed-row width checks)
 #   InferencePath          (workspace forwards against the tape oracle,
 #                           over collected rollouts and at trained weights)
 #   FleetBatched           (lockstep fleet engine: batched GEMM kernels, slab
@@ -48,19 +50,21 @@
 # Portable preset (TSC_NATIVE_TENSOR_KERNELS=OFF, TSC_FAST_TIER=OFF): the
 # default build compiles the AVX-512 GEMM tiles and SIMD fast tier on hosts
 # that have them, so only this build compiles and runs the portable 4-row
-# GEMM tile and the scalar fast tier against the same tape oracles:
+# GEMM tile and the scalar fast tier against the same tape oracles, and the
+# team's row-range splits of the portable tile and its ragged tails:
 #
-#   BackwardKernels / BackwardPath / InferencePath / KernelTiers
+#   BackwardKernels / BackwardPath / InferencePath / KernelTiers /
+#   SplitKernels / UpdateTeam
 #
 # Usage: tools/run_sanitized_tests.sh [source-dir]
 # Exits non-zero on the first sanitizer failure.
 set -euo pipefail
 
 SRC_DIR="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
-FILTER='ThreadPool|MergeRollouts|ParallelRollout|TscEnvClone|ParallelUpdate|ShardedUpdate|OptimizerCheckpoint|TrainerResume|InferencePath|FleetBatched|InvariantSeeding|SimHotPath|SensorSnapshot|SensorModel|KernelTiers|RunStore|FlatJson|Proc|AtomicCheckpoint|SweepExpansion|FleetEndToEnd|BackwardKernels|BackwardPath|UpdateLane|TrainingDiverged'
-TARGETS=(test_parallel_rollout test_parallel_update test_sharded_update test_update_lane test_backward_kernels test_backward_path test_inference test_kernel_tiers test_invariant_seeding test_sim_hotpath test_sensor_model test_fleet_orchestrator tsc_fleet)
-PORTABLE_FILTER='BackwardKernels|BackwardPath|InferencePath|KernelTiers'
-PORTABLE_TARGETS=(test_backward_kernels test_backward_path test_inference test_kernel_tiers)
+FILTER='ThreadPool|MergeRollouts|ParallelRollout|TscEnvClone|ParallelUpdate|ShardedUpdate|OptimizerCheckpoint|TrainerResume|InferencePath|FleetBatched|InvariantSeeding|SimHotPath|SensorSnapshot|SensorModel|KernelTiers|RunStore|FlatJson|Proc|AtomicCheckpoint|SweepExpansion|FleetEndToEnd|BackwardKernels|BackwardPath|ThreadTeam|UpdateTeam|SplitKernels|TrainingDiverged|PackedSampleBlock'
+TARGETS=(test_parallel_rollout test_parallel_update test_sharded_update test_update_team test_backward_kernels test_backward_path test_inference test_kernel_tiers test_invariant_seeding test_sim_hotpath test_sensor_model test_fleet_orchestrator tsc_fleet)
+PORTABLE_FILTER='BackwardKernels|BackwardPath|InferencePath|KernelTiers|SplitKernels|UpdateTeam'
+PORTABLE_TARGETS=(test_backward_kernels test_backward_path test_inference test_kernel_tiers test_update_team)
 
 # run_one <preset> <build-dir> <ctest-filter> <target>...
 run_one() {
